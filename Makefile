@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race stress chaos bench bench-report bench-planner bench-dynamic bench-parallel bench-serve bench-sharded vet fmt fmt-check lint vuln experiments-unit experiments-small clean
+.PHONY: all build test race stress chaos bench loc vet fmt fmt-check lint vuln experiments-unit experiments-small clean
 
 all: build test
 
@@ -31,39 +31,13 @@ chaos:
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
 
-# Headline workloads as machine-readable JSON (checked in as BENCH_<n>.json),
-# including the speedup against the recorded pre-CSR seed baseline.
-bench-report:
-	$(GO) run ./cmd/benchreport -o BENCH_1.json
-
-# Query-planner metrics: optimization overhead per query and the
-# cost-based vs boolean-heuristic head-to-head.
-bench-planner:
-	$(GO) run ./cmd/benchreport -suite 2 -o BENCH_2.json
-
-# Dynamic-graph metrics: snapshot-acquisition overhead vs direct graph
-# access, and incremental census maintenance vs full recompute over a
-# mutation stream.
-bench-dynamic:
-	$(GO) run ./cmd/benchreport -suite 4 -o BENCH_4.json
-
-# Worker-scaling table: the BENCH_4 census workload at 1/2/4/8 workers
-# against the pre-kernel baseline (speedup and allocation-reduction
-# acceptance ratios at the 4-worker point).
-bench-parallel:
-	$(GO) run ./cmd/benchreport -suite 6 -o BENCH_6.json
-
-# Serving metrics: prepared-vs-unprepared latency, result-cache hit
-# latency, and HTTP handler QPS at 1/4/8 concurrent clients.
-bench-serve:
-	$(GO) run ./cmd/benchreport -suite 7 -o BENCH_7.json
-
-# Sharded-store metrics: durable ingest throughput at 1/2/4/8 shards,
-# parallel replay-on-open, and census latency parity on a pinned sharded
-# snapshot (the >=2x-at-4-shards criterion assumes >=4 CPUs; the report
-# records gomaxprocs).
-bench-sharded:
-	$(GO) run ./cmd/benchreport -suite 8 -o BENCH_8.json
+# Tracked line count: non-test Go (tracked *.go minus _test.go and
+# testdata/), printed for the root module and the bench/ module apart.
+loc:
+	@root=$$(git ls-files '*.go' | grep -v -e '_test\.go$$' -e 'testdata/' -e '^bench/' | xargs cat | wc -l); \
+	bench=$$(git ls-files 'bench/*.go' | grep -v -e '_test\.go$$' -e 'testdata/' | xargs cat | wc -l); \
+	echo "root module: $$root non-test Go lines"; \
+	echo "bench/:      $$bench non-test Go lines"
 
 vet:
 	$(GO) vet ./...

@@ -279,9 +279,9 @@ func BenchmarkAblationShortcuts(b *testing.B) {
 // counting phase. (Speedup requires multiple CPUs; on a single-core
 // machine the worker counts should tie, which doubles as an overhead
 // check.)
-// BenchmarkCensusWorkers — the BENCH_4 census workload (labeled BA graph,
-// unlabeled triangle, k=1, ND-BAS) across worker counts: the workload the
-// bitset/zero-alloc acceptance numbers are recorded on. The BA degree
+// BenchmarkCensusWorkers — a labeled BA graph, unlabeled triangle, k=1,
+// ND-BAS census across worker counts: the workload the bitset/zero-alloc
+// acceptance numbers were recorded on. The BA degree
 // distribution is heavily skewed, so this also exercises the cost-seeded
 // work-stealing schedule.
 func BenchmarkCensusWorkers(b *testing.B) {

@@ -374,7 +374,7 @@ var (
 // Store serves a graph file without materializing it.
 type Store = storage.Store
 
-// Versioned graph core (MVCC): a single Writer batches mutations and
+// Versioned graph core (MVCC): a single GraphWriter batches mutations and
 // atomically publishes immutable, epoch-stamped snapshots; readers pin a
 // version in O(1) and are never blocked by writes (nor writes by reads).
 // See doc/ARCHITECTURE.md, "Versioning & concurrency".
@@ -383,16 +383,18 @@ type (
 	// census evaluation against it is exact for its epoch.
 	Snapshot = graph.Snapshot
 	// GraphWriter is the single mutation path of a versioned graph: it
-	// stages AddNode/AddEdge/SetLabel/Set*Attr batches and Publish
-	// installs the next snapshot copy-on-write.
-	GraphWriter = graph.Writer
+	// stages AddNode/AddEdge/SetLabel/Set*Attr batches into P shard lanes
+	// (P = 1 for an unsharded graph) and Publish installs the next
+	// snapshot copy-on-write under one global epoch, with per-shard
+	// degraded mode.
+	GraphWriter = graph.ShardedWriter
 	// WriterStats is a point-in-time monitoring view of a GraphWriter
 	// (epoch, staged sizes, delta-overlay shape, compactions).
 	WriterStats = graph.WriterStats
 	// Mutation is one staged graph operation of a mutation batch.
 	Mutation = graph.Op
 	// MutationBatch is one published batch of mutations with the epoch
-	// it produced; Writer subscribers and the durable mutation log
+	// it produced; GraphWriter subscribers and the durable mutation log
 	// consume these.
 	MutationBatch = graph.Delta
 	// Maintainer keeps registered census queries incrementally up to
@@ -407,16 +409,15 @@ type (
 	// store; its shard count is fixed at creation and recorded in the
 	// image header. The zero value is disabled (one shard).
 	Partitioner = graph.Partitioner
-	// ShardedGraphWriter is the mutation path of a sharded versioned
-	// graph: P independent staging/WAL/apply lanes composed under a
-	// single global epoch, with per-shard degraded mode. A 1-shard
-	// writer behaves exactly like GraphWriter.
-	ShardedGraphWriter = graph.ShardedWriter
 )
 
-// NewWriter freezes g as the epoch-0 snapshot and returns its writer; all
-// further mutation goes through the writer.
-func NewWriter(g *Graph) *GraphWriter { return graph.NewWriter(g) }
+// NewWriter freezes g as the epoch-0 snapshot of a writer with the given
+// shard count (1 for an unsharded graph; NewPartitioner(shards) is its
+// node-to-shard map) and returns it; all further mutation goes through
+// the writer.
+func NewWriter(g *Graph, shards int) *GraphWriter {
+	return graph.NewShardedWriter(g, shards)
+}
 
 // FreezeGraph seals g as an immutable epoch-0 snapshot without a writer.
 func FreezeGraph(g *Graph) *Snapshot { return graph.Freeze(g) }
@@ -424,26 +425,14 @@ func FreezeGraph(g *Graph) *Snapshot { return graph.Freeze(g) }
 // NewLiveEngine returns a query engine over a mutating graph: every query
 // pins the writer's snapshot current at execution start, so results (and
 // the Epoch stamped on each table) are version-consistent even while
-// ingest continues.
-func NewLiveEngine(w *GraphWriter) *Engine { return core.NewEngineLive(w) }
-
-// NewShardedWriter freezes g as the epoch-0 snapshot of a P-lane sharded
-// writer; NewPartitioner(shards) is its node-to-shard map.
-func NewShardedWriter(g *Graph, shards int) *ShardedGraphWriter {
-	return graph.NewShardedWriter(g, shards)
-}
+// ingest continues. Census scheduling is seeded shard-affinely through a
+// sharded writer's partitioner (results are identical at any shard
+// count).
+func NewLiveEngine(w *GraphWriter) *Engine { return core.NewEngineLiveSharded(w) }
 
 // NewPartitioner returns the deterministic node-to-shard map used by
 // sharded writers and stores with the given shard count.
 func NewPartitioner(shards int) Partitioner { return graph.NewPartitioner(shards) }
-
-// NewLiveShardedEngine returns a query engine over a sharded mutating
-// graph: queries pin snapshots exactly as with NewLiveEngine, and census
-// scheduling is seeded shard-affinely through the writer's partitioner
-// (results are identical to the unsharded engine's).
-func NewLiveShardedEngine(w *ShardedGraphWriter) *Engine {
-	return core.NewEngineLiveSharded(w)
-}
 
 // CountSnapshot evaluates a single-node census against one pinned
 // version.
@@ -462,18 +451,12 @@ func CountPairsSnapshot(s *Snapshot, spec PairSpec, alg Algorithm, opt Options) 
 func NewMaintainer(s *Snapshot) *Maintainer { return core.NewMaintainer(s) }
 
 // CreateDynamic initializes a durable dynamic store at basePath from g
-// (base image + empty mutation log); fails if basePath exists.
-func CreateDynamic(basePath string, g *Graph) (*DynamicStore, error) {
-	return storage.CreateDynamic(basePath, g)
-}
-
-// CreateDynamicSharded initializes a durable dynamic store with P
-// independent ingest lanes: the mutation log becomes P per-shard segment
-// files that append, fsync, and replay in parallel, and one full shard
-// degrades alone instead of blocking the rest. The shard count is
-// recorded in the image header; shards == 1 produces the unsharded
-// layout byte for byte.
-func CreateDynamicSharded(basePath string, g *Graph, shards int) (*DynamicStore, error) {
+// (base image + empty mutation log) with the given shard count; fails if
+// basePath exists. With shards == 1 the log is a single v1 sidecar file.
+// With P > 1 it is P per-shard segment files that append, fsync, and
+// replay in parallel, and one full shard degrades alone instead of
+// blocking the rest. The shard count is recorded in the image header.
+func CreateDynamic(basePath string, g *Graph, shards int) (*DynamicStore, error) {
 	return storage.CreateDynamicSharded(basePath, g, shards)
 }
 

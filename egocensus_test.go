@@ -123,7 +123,7 @@ func TestFacadeVersionedCore(t *testing.T) {
 	g := PreferentialAttachment(60, 3, 11)
 	AssignLabels(g, 2, 12)
 	nodes0 := g.NumNodes()
-	w := NewWriter(g)
+	w := NewWriter(g, 1)
 	s0 := w.Snapshot()
 	spec := Spec{Pattern: CliquePattern("tri", 3, nil), K: 1}
 
@@ -192,7 +192,7 @@ SELECT ID, COUNTP(tri, SUBGRAPH(ID, 1)) FROM nodes`)
 
 	// Durable dynamic store: published batches survive reopen.
 	base := filepath.Join(t.TempDir(), "dyn.egoc")
-	ds, err := CreateDynamic(base, ErdosRenyi(20, 30, 13))
+	ds, err := CreateDynamic(base, ErdosRenyi(20, 30, 13), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,12 +227,12 @@ func TestFacadeShardedStore(t *testing.T) {
 	}
 
 	// Live sharded writer + engine: queries answer while lanes ingest.
-	sw := NewShardedWriter(ErdosRenyi(20, 30, 13), 4)
+	sw := NewWriter(ErdosRenyi(20, 30, 13), 4)
 	sw.AddEdge(sw.AddNode(), 0)
 	if _, err := sw.Publish(); err != nil {
 		t.Fatal(err)
 	}
-	tables, err := NewLiveShardedEngine(sw).Execute(
+	tables, err := NewLiveEngine(sw).Execute(
 		`PATTERN tri { ?A-?B; ?B-?C; ?A-?C; } SELECT ID, COUNTP(tri, SUBGRAPH(ID, 1)) FROM nodes LIMIT 3`)
 	if err != nil || tables[0].Epoch != sw.Snapshot().Epoch() {
 		t.Fatalf("sharded live query: %v (epoch %d vs %d)", err, tables[0].Epoch, sw.Snapshot().Epoch())
@@ -241,7 +241,7 @@ func TestFacadeShardedStore(t *testing.T) {
 	// Durable sharded store: published batches survive reopen, and the
 	// recorded shard count is rediscovered.
 	base := filepath.Join(t.TempDir(), "dyn.egoc")
-	ds, err := CreateDynamicSharded(base, ErdosRenyi(20, 30, 13), 4)
+	ds, err := CreateDynamic(base, ErdosRenyi(20, 30, 13), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,19 +75,14 @@ func NewEngineFromSource(src plan.Source) *Engine {
 	return &Engine{Source: src, catalog: map[string]*pattern.Pattern{}}
 }
 
-// NewEngineLive returns an engine over a mutating graph: each query pins
-// the writer's latest published snapshot for its whole run (planning,
-// EXPLAIN statistics, and execution all observe one epoch, reported as
-// Table.Epoch), while the writer keeps publishing concurrently. Queries
-// never block mutation and vice versa.
-func NewEngineLive(w *graph.Writer) *Engine {
-	return NewEngineFromSource(plan.FromWriter(w))
-}
-
-// NewEngineLiveSharded is NewEngineLive over a sharded writer: queries
-// pin composed snapshots the same way, planning statistics aggregate
-// per-shard computations, and executions inherit the store's partitioner
-// so the census scheduler seeds work shard-affinely.
+// NewEngineLiveSharded returns an engine over a mutating graph: each
+// query pins the writer's latest published snapshot for its whole run
+// (planning, EXPLAIN statistics, and execution all observe one epoch,
+// reported as Table.Epoch), while the writer keeps publishing
+// concurrently. Queries never block mutation and vice versa. For a
+// sharded writer, planning statistics aggregate per-shard computations
+// and executions inherit the writer's partitioner so the census scheduler
+// seeds work shard-affinely.
 func NewEngineLiveSharded(w *graph.ShardedWriter) *Engine {
 	return NewEngineFromSource(plan.FromShardedWriter(w))
 }
@@ -270,8 +265,9 @@ type Table struct {
 	// Stats breaks the execution down per pipeline stage.
 	Stats ExecStats
 	// Epoch is the graph version the query pinned when the engine serves a
-	// versioned source (NewEngineLive): planning statistics and execution
-	// both observed exactly this snapshot. Zero for static sources.
+	// versioned source (NewEngineLiveSharded): planning statistics and
+	// execution both observed exactly this snapshot. Zero for static
+	// sources.
 	Epoch uint64
 }
 

@@ -9,15 +9,15 @@ import (
 
 // Maintainer keeps any number of registered census queries incrementally
 // up to date against a stream of published mutation batches (graph.Delta)
-// from a Writer. It owns a private mutable replica of the graph — cloned
-// from the snapshot it starts at — so it controls exactly when each
-// mutation lands: for an edge insertion, every query's pre-insertion
+// from a graph.ShardedWriter. It owns a private mutable replica of the
+// graph — cloned from the snapshot it starts at — so it controls exactly
+// when each mutation lands: for an edge insertion, every query's pre-insertion
 // state is collected first (Incremental.beforeAdd), the replica mutates
 // once, then every query applies its update (afterAdd). Label changes
 // fall outside the incremental update rules and trigger a per-query
 // rebuild at the end of the batch.
 //
-// Attach subscribes a maintainer to a Writer with an unbounded queue and
+// Attach subscribes a maintainer to a writer with an unbounded queue and
 // a worker goroutine, so publishes never wait on census maintenance;
 // CatchUp blocks until the maintainer has applied every batch up to an
 // epoch. Counts snapshots are served under the maintainer's lock.
@@ -142,7 +142,7 @@ func (mt *Maintainer) applyLocked(d graph.Delta) error {
 // (already-queued batches are dropped); the subscription on w remains but
 // becomes a cheap no-op. The maintainer must be positioned at the
 // writer's current epoch (or earlier batches must already be queued).
-func (mt *Maintainer) Attach(w *graph.Writer) (stop func()) {
+func (mt *Maintainer) Attach(w *graph.ShardedWriter) (stop func()) {
 	w.Subscribe(func(_ *graph.Snapshot, d graph.Delta) {
 		mt.mu.Lock()
 		if !mt.stopped {

@@ -148,8 +148,8 @@ SELECT ID, COUNTP(typed_edge, SUBGRAPH(ID, 1)) FROM nodes
 }
 
 func TestPreparedEpochInvalidation(t *testing.T) {
-	w := graph.NewWriter(stressSeedGraph(t, false, 24, 50, 3))
-	e := NewEngineLive(w)
+	w := graph.NewShardedWriter(stressSeedGraph(t, false, 24, 50, 3), 1)
+	e := NewEngineLiveSharded(w)
 	p, err := e.Prepare(`
 PATTERN tri { ?A-?B; ?B-?C; ?C-?A; }
 SELECT ID, COUNTP(tri, SUBGRAPH(ID, 1)) FROM nodes
@@ -269,8 +269,8 @@ func TestStressPreparedConcurrentLiveGraph(t *testing.T) {
 		rounds     = 12
 		maxBatches = 120
 	)
-	w := graph.NewWriter(stressSeedGraph(t, false, 24, 50, 5))
-	e := NewEngineLive(w)
+	w := graph.NewShardedWriter(stressSeedGraph(t, false, 24, 50, 5), 1)
+	e := NewEngineLiveSharded(w)
 	p, err := e.Prepare(`
 PATTERN tri { ?A-?B; ?B-?C; ?C-?A; }
 SELECT ID, COUNTP(tri, SUBGRAPH(ID, 1)) FROM nodes WHERE kind = $k

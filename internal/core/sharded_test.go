@@ -211,9 +211,9 @@ func TestEngineInjectsSourcePartitioner(t *testing.T) {
 	e.Opt.Partitioner = graph.Partitioner{}
 
 	// Unsharded live engines stay unaffine.
-	plainW := graph.NewWriter(g.Clone())
-	if got := NewEngineLive(plainW).optionsFor().Partitioner; got.Enabled() {
-		t.Fatal("plain writer source injected a partitioner")
+	plainW := graph.NewShardedWriter(g.Clone(), 1)
+	if got := NewEngineLiveSharded(plainW).optionsFor().Partitioner; got.Enabled() {
+		t.Fatal("1-shard writer source injected a partitioner")
 	}
 
 	// End to end: the sharded engine's results match an unsharded engine

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,10 +12,11 @@ import (
 	"egocensus/internal/gen"
 	"egocensus/internal/graph"
 	"egocensus/internal/pattern"
+	"egocensus/internal/storage"
 )
 
 // The Stress tests exercise the MVCC contract under the race detector:
-// census queries run concurrently with a mutating Writer, and every query
+// census queries run concurrently with a mutating writer, and every query
 // must observe an internally consistent pinned snapshot — its counts must
 // equal a from-scratch census over an independent deep copy of that
 // snapshot's frozen view. CI runs them with -race -count=3.
@@ -44,7 +47,7 @@ func TestStressConcurrentCensusWithWriter(t *testing.T) {
 	spec := Spec{Pattern: pattern.Clique("clq3", 3, nil), K: 1}
 	labeled := Spec{Pattern: pattern.Clique("lclq", 3, []string{"l0", "l0", "l1"}), K: 1}
 
-	w := graph.NewWriter(stressSeedGraph(t, false, nodes, 60, 1))
+	w := graph.NewShardedWriter(stressSeedGraph(t, false, nodes, 60, 1), 1)
 	var stop atomic.Bool
 	var readers, mutator sync.WaitGroup
 
@@ -130,7 +133,7 @@ func TestStressMaintainerFollowsWriter(t *testing.T) {
 	const nodes = 24
 	spec := Spec{Pattern: pattern.Clique("clq3", 3, nil), K: 1}
 
-	w := graph.NewWriter(stressSeedGraph(t, false, nodes, 30, 3))
+	w := graph.NewShardedWriter(stressSeedGraph(t, false, nodes, 30, 3), 1)
 	snap0 := w.Snapshot()
 
 	var snaps sync.Map // epoch -> *graph.Snapshot
@@ -235,9 +238,65 @@ func TestStressMaintainerFollowsWriter(t *testing.T) {
 	}
 }
 
+// TestStressMaintainerOnDynamicStore attaches a maintainer to a durable
+// store's writer — at one shard and at four — and checks it converges to
+// a from-scratch census at the final published epoch.
+func TestStressMaintainerOnDynamicStore(t *testing.T) {
+	spec := Spec{Pattern: pattern.Clique("clq3", 3, nil), K: 1}
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("P%d", shards), func(t *testing.T) {
+			base := filepath.Join(t.TempDir(), "g.egoc")
+			ds, err := storage.CreateDynamicSharded(base, stressSeedGraph(t, false, 24, 30, 8), shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ds.Close()
+			w := ds.Writer()
+			mt := NewMaintainer(ds.Snapshot())
+			if err := mt.Register("clq3", spec, Options{Seed: 7}); err != nil {
+				t.Fatal(err)
+			}
+			stop := mt.Attach(w)
+			defer stop()
+
+			rng := rand.New(rand.NewSource(9))
+			for i := 0; i < 30; i++ {
+				nodes := w.Stats().Nodes
+				if rng.Intn(3) == 0 {
+					w.SetLabel(w.AddNode(), fmt.Sprintf("l%d", rng.Intn(2)))
+				}
+				for j := 0; j < 3; j++ {
+					if a, b := graph.NodeID(rng.Intn(nodes)), graph.NodeID(rng.Intn(nodes)); a != b {
+						w.AddEdge(a, b)
+					}
+				}
+				if _, err := w.Publish(); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			final := ds.Snapshot()
+			if ep, err := mt.CatchUp(final.Epoch()); err != nil || ep != final.Epoch() {
+				t.Fatalf("catch-up: epoch %d err %v (want %d)", ep, err, final.Epoch())
+			}
+			counts, epoch, err := mt.Counts("clq3")
+			if err != nil || epoch != final.Epoch() {
+				t.Fatalf("counts at epoch %d (err %v), want %d", epoch, err, final.Epoch())
+			}
+			want, err := CountSnapshot(final, spec, PTBas, Options{Seed: 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(counts, want.Counts) {
+				t.Fatalf("epoch %d: maintained counts diverge from the from-scratch census", epoch)
+			}
+		})
+	}
+}
+
 func TestStressLiveEngineQueriesDuringIngest(t *testing.T) {
-	w := graph.NewWriter(stressSeedGraph(t, false, 30, 45, 5))
-	e := NewEngineLive(w)
+	w := graph.NewShardedWriter(stressSeedGraph(t, false, 30, 45, 5), 1)
+	e := NewEngineLiveSharded(w)
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -279,9 +338,70 @@ SELECT ID, COUNTP(tri, SUBGRAPH(ID, 1)) FROM nodes`
 			lastEpoch = tb.Epoch
 		}
 		// Redefining the pattern next round would be an error; drop it.
-		e2 := NewEngineLive(w)
+		e2 := NewEngineLiveSharded(w)
 		e = e2
 	}
 	stop.Store(true)
 	wg.Wait()
+}
+
+// TestStressConcurrentColdHydration races the first queries on engines
+// over freshly opened disk stores: planning statistics and the lazy
+// materialization must each happen once, whichever query gets there
+// first, and every query must return the in-memory engine's table.
+func TestStressConcurrentColdHydration(t *testing.T) {
+	const (
+		stores  = 3
+		clients = 8
+		script  = `SELECT ID, COUNTP(tri, SUBGRAPH(ID, 1)) FROM nodes`
+	)
+	tri := pattern.Clique("tri", 3, nil)
+	g := gen.PreferentialAttachment(400, 3, 21)
+	gen.AssignLabels(g, 3, 22)
+	path := filepath.Join(t.TempDir(), "g.egoc")
+	if err := storage.Save(path, g); err != nil {
+		t.Fatal(err)
+	}
+	ref := NewEngine(g)
+	if err := ref.DefinePattern(tri); err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Execute(script)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for s := 0; s < stores; s++ {
+		st, err := storage.Open(path, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := NewEngineFromSource(st)
+		if err := e.DefinePattern(tri); err != nil {
+			t.Fatal(err)
+		}
+		got := make([][]*Table, clients)
+		errs := make([]error, clients)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(clients)
+		for c := 0; c < clients; c++ {
+			go func(c int) {
+				defer wg.Done()
+				<-start
+				got[c], errs[c] = e.Execute(script)
+			}(c)
+		}
+		close(start)
+		wg.Wait()
+		st.Close()
+		for c := range got {
+			if errs[c] != nil {
+				t.Fatalf("store %d client %d: %v", s, c, errs[c])
+			}
+			if !reflect.DeepEqual(got[c][0].Rows, want[0].Rows) {
+				t.Fatalf("store %d client %d: rows diverge from the in-memory engine", s, c)
+			}
+		}
+	}
 }

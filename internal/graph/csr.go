@@ -220,7 +220,7 @@ func (g *Graph) invalidateCSR() { g.csr.Store(nil) }
 // overlay back into contiguous arrays. On a frozen snapshot this is safe
 // under concurrent readers: the rebuilt view is equivalent and replaces
 // the overlay atomically (readers that already hold the overlay pointer
-// keep using it, also correct). The Writer calls this in the background
+// keep using it, also correct). The ShardedWriter calls this in the background
 // once a snapshot's overlay outgrows overlayCompactAt.
 func (g *Graph) CompactCSR() { g.csr.Store(buildCSR(g)) }
 

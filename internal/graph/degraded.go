@@ -95,51 +95,3 @@ func (e *DegradedError) Error() string {
 
 // Unwrap exposes the storage failure that tripped degraded mode.
 func (e *DegradedError) Unwrap() error { return e.Cause }
-
-// Degraded returns the writer's degraded state: nil while healthy, the
-// *DegradedError (as an error, typed nil never escapes) once the write
-// path has failed unrecoverably. Serving layers poll this for health
-// reporting.
-func (w *Writer) Degraded() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.degraded == nil {
-		return nil
-	}
-	return w.degraded
-}
-
-// ClearDegraded re-arms a degraded writer after the underlying storage
-// fault is resolved (space freed, volume remounted, log compacted onto a
-// healthy device). Pending ops were retained, so the next Publish retries
-// the batch that originally failed. It reports whether the writer was
-// degraded.
-func (w *Writer) ClearDegraded() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	was := w.degraded != nil
-	w.degraded = nil
-	return was
-}
-
-// appendWAL drives one batch through the WAL under the retry policy:
-// transient failures back off and retry up to the policy's attempt
-// budget, permanent failures return immediately. Called with w.mu held.
-func (w *Writer) appendWAL(ops []Op) error {
-	policy := w.WALRetry
-	var err error
-	for attempt := 1; ; attempt++ {
-		if err = w.wal.AppendBatch(ops); err == nil {
-			return nil
-		}
-		if !IsTransient(err) || attempt >= policy.attempts() {
-			return err
-		}
-		if w.rng == nil {
-			w.rng = rand.New(rand.NewSource(time.Now().UnixNano()))
-		}
-		if d := policy.backoff(attempt, w.rng); d > 0 {
-			time.Sleep(d)
-		}
-	}
-}

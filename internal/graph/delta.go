@@ -2,10 +2,10 @@ package graph
 
 import "fmt"
 
-// OpKind identifies one mutation kind in a Writer batch.
+// OpKind identifies one mutation kind in a ShardedWriter batch.
 type OpKind uint8
 
-// The mutation kinds a Writer batches and a mutation log persists.
+// The mutation kinds a ShardedWriter batches and a mutation log persists.
 const (
 	// OpAddNode appends one node (its ID is implied by position: the
 	// graph's node count when the op applies).

@@ -60,7 +60,7 @@ type Graph struct {
 	// so concurrent readers of a frozen graph never race.
 	frozen bool
 	// epoch is the snapshot version this frozen graph was published at
-	// (0 for graphs never owned by a Writer).
+	// (0 for graphs never owned by a ShardedWriter).
 	epoch uint64
 
 	out  [][]Half
@@ -91,10 +91,10 @@ func (g *Graph) Directed() bool { return g.directed }
 func (g *Graph) Frozen() bool { return g.frozen }
 
 // mustMutable panics when the graph has been frozen as a snapshot: all
-// mutation must go through a Writer, which clones before it writes.
+// mutation must go through a ShardedWriter, which clones before it writes.
 func (g *Graph) mustMutable() {
 	if g.frozen {
-		panic(fmt.Sprintf("graph: mutation of frozen snapshot (epoch %d); mutate through a Writer", g.epoch))
+		panic(fmt.Sprintf("graph: mutation of frozen snapshot (epoch %d); mutate through a ShardedWriter", g.epoch))
 	}
 }
 

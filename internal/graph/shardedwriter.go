@@ -67,36 +67,53 @@ type swLane struct {
 	degraded *DegradedError
 }
 
-// ShardedWriter is the mutation path of an N-way sharded graph. It stages
-// ops into P per-shard lanes (routed by a deterministic Partitioner) and
-// publishes them under a single global epoch with a two-phase publish:
-// phase one freezes every lane's tail into one sequence-ordered batch and
-// appends it as per-shard WAL segment records in parallel; phase two
-// applies the batch copy-on-write — shard-parallel for P > 1 — and
-// installs the composed snapshot with one atomic pointer store. Readers
-// acquire whole-graph snapshots exactly as with Writer and can never
-// observe mixed epochs: there is only one published pointer.
+// ShardedWriter is the single mutation path of the MVCC graph core. It
+// batches mutations (AddNode/AddEdge/SetLabel/Set*Attr assign IDs
+// immediately but stay invisible to readers) into P per-shard lanes,
+// routed by a deterministic Partitioner; P = 1 is the unsharded case.
+// Publish installs the next epoch with a two-phase publish: phase one
+// freezes every lane's tail into one sequence-ordered batch and makes it
+// durable through the WAL (per-shard segment records in parallel for
+// P > 1); phase two applies the batch copy-on-write — shard-parallel for
+// P > 1 — and installs the composed snapshot with one atomic pointer
+// store. Readers acquire versions with Snapshot(), an atomic pointer load,
+// and are never blocked by the writer, nor the writer by readers; they
+// can never observe mixed epochs, since there is only one published
+// pointer.
+//
+// Copy-on-write granularity is the dirty tail: a publish copies the
+// per-node slice headers (O(nodes) memcpy) plus only the adjacency rows,
+// label column, and attribute maps the batch actually touched; everything
+// else is shared structurally with the parent version. The CSR traversal
+// view is extended with a delta overlay (csr.go) instead of rebuilt, and a
+// background compaction folds the overlay flat once it outgrows
+// CompactOverlayAt rows.
 //
 // Degraded mode is per shard: when one shard's segment append fails
 // unrecoverably, only that lane turns sticky read-only. Later publishes
 // route around it — ops staged to healthy shards still publish, except
 // ops that would break dense ID assignment (creations at or after the
 // first stuck creation, and ops referencing such IDs), which are held
-// back until the stuck shard is cleared. With P = 1 this collapses to
-// Writer's whole-writer degraded behavior.
+// back until the stuck shard is cleared. With P = 1 the whole writer
+// degrades.
 //
-// A ShardedWriter over one shard is bit-identical to Writer: same op
-// order, same WAL bytes (it appends through the plain WAL interface),
-// same copy-on-write application, same snapshots.
+// With P = 1 the writer appends the merged batch through the plain WAL
+// interface and applies it sequentially, so the log bytes are the v1
+// single-file format.
 //
-// Unlike Writer, staging and publish take different locks, so ingest
-// goroutines keep staging while a publish is fsyncing its segments.
+// All methods are safe for concurrent use. Staging and publish take
+// different locks, so ingest goroutines keep staging while a publish is
+// fsyncing its segments.
 type ShardedWriter struct {
-	// CompactOverlayAt bounds the CSR delta overlay exactly as
-	// Writer.CompactOverlayAt does.
+	// CompactOverlayAt bounds the CSR delta overlay: after a publish
+	// leaves more overlay rows than this, a background goroutine compacts
+	// the snapshot's CSR to flat arrays. 0 picks a default of
+	// max(256, nodes/8). Negative disables background compaction.
 	CompactOverlayAt int
 
-	// WALRetry bounds the retries of transient WAL-append failures.
+	// WALRetry bounds the retries of transient WAL-append failures
+	// (degraded.go). Set before sharing the writer; the zero value picks
+	// the defaults (4 attempts, 2ms..50ms exponential backoff + jitter).
 	WALRetry RetryPolicy
 
 	// ApplyWorkers bounds the parallelism of phase-two batch application;
@@ -130,14 +147,17 @@ type ShardedWriter struct {
 }
 
 // NewShardedWriter freezes g as the epoch-0 snapshot of a graph sharded
-// `shards` ways and returns its writer. The caller must not retain
-// mutating access to g.
+// `shards` ways (1 for an unsharded graph) and returns its writer. The
+// caller must not retain mutating access to g; all further mutation goes
+// through the writer.
 func NewShardedWriter(g *Graph, shards int) *ShardedWriter {
 	return NewShardedWriterAt(g, 0, shards)
 }
 
 // NewShardedWriterAt is NewShardedWriter with an explicit starting epoch,
-// used when the graph was recovered by replaying per-shard mutation logs.
+// used when the graph was recovered by replaying a mutation log: the
+// writer resumes the log's epoch sequence so version numbers stay
+// monotonic across restarts.
 func NewShardedWriterAt(g *Graph, epoch uint64, shards int) *ShardedWriter {
 	p := NewPartitioner(shards)
 	w := &ShardedWriter{
@@ -156,9 +176,12 @@ func (w *ShardedWriter) Partitioner() Partitioner { return w.part }
 // Shards returns the shard count.
 func (w *ShardedWriter) Shards() int { return w.part.Shards() }
 
-// SetWAL attaches the durability hook. A ShardWAL gets per-shard segment
-// appends; a plain WAL (the single-log compatibility path) gets the
-// merged batch exactly as Writer would append it.
+// SetWAL attaches the durability hook: every subsequent Publish appends
+// its batch before installing the snapshot, and the writer starts
+// retaining published deltas for log compaction (Barrier). A sharded
+// writer over a ShardWAL gets per-shard segment appends; otherwise the WAL
+// gets the merged batch in publish order. Attach before the first
+// publish; batches published earlier are not re-appended.
 func (w *ShardedWriter) SetWAL(wal WAL) {
 	w.pubMu.Lock()
 	defer w.pubMu.Unlock()
@@ -169,8 +192,11 @@ func (w *ShardedWriter) SetWAL(wal WAL) {
 // The composed snapshot covers every shard at one epoch.
 func (w *ShardedWriter) Snapshot() *Snapshot { return w.cur.Load() }
 
-// Subscribe registers fn to run synchronously after every publish, with
-// the same contract as Writer.Subscribe.
+// Subscribe registers fn to run synchronously after every publish, in
+// registration order, with the new snapshot and the batch that produced
+// it. fn runs under the writer's publish lock: it must not call back into
+// the writer's publish path. The incremental census maintainer consumes
+// deltas this way.
 func (w *ShardedWriter) Subscribe(fn func(*Snapshot, Delta)) {
 	w.pubMu.Lock()
 	defer w.pubMu.Unlock()
@@ -252,7 +278,7 @@ func (w *ShardedWriter) SetLabel(n NodeID, label string) {
 }
 
 // SetNodeAttr stages a node attribute assignment; the reserved "label"
-// key routes to SetLabel, mirroring Writer.SetNodeAttr.
+// key routes to SetLabel, mirroring Graph.SetNodeAttr.
 func (w *ShardedWriter) SetNodeAttr(n NodeID, key, value string) {
 	if key == LabelAttr {
 		w.SetLabel(n, value)
@@ -453,9 +479,9 @@ func (w *ShardedWriter) Publish() (*Snapshot, error) {
 	return snap, nil
 }
 
-// applyPublished applies one publish-ordered batch. The single-shard
-// path delegates to the exact sequential applyBatch Writer uses, keeping
-// P=1 bit-identical; sharded graphs use the shard-parallel variant.
+// applyPublished applies one publish-ordered batch: sequentially with
+// applyBatch for one shard or one apply worker, with the shard-parallel
+// variant otherwise.
 func (w *ShardedWriter) applyPublished(base *Graph, ops []Op, epoch uint64) *Graph {
 	workers := w.applyWorkers()
 	if !w.part.Enabled() || workers <= 1 {
@@ -591,8 +617,10 @@ func (w *ShardedWriter) ClearDegraded() bool {
 	return was
 }
 
-// maybeCompact mirrors Writer.maybeCompact: background CSR compaction
-// once the delta overlay outgrows its bound.
+// maybeCompact kicks off a background CSR compaction when the new
+// snapshot's delta overlay outgrew its bound. At most one compaction runs
+// at a time; a snapshot published mid-compaction is picked up by the next
+// publish's check.
 func (w *ShardedWriter) maybeCompact(g *Graph) {
 	if w.CompactOverlayAt < 0 {
 		return
@@ -618,9 +646,12 @@ func (w *ShardedWriter) maybeCompact(g *Graph) {
 	}()
 }
 
-// Barrier runs fn under the publish lock with the current snapshot and
-// the retained deltas newer than epoch `since`, exactly like
-// Writer.Barrier — the log-compaction handshake.
+// Barrier runs fn under the publish lock — no publish can interleave —
+// with the current snapshot and the retained deltas newer than epoch
+// `since` (oldest first). If fn returns a non-nil WAL it replaces the
+// writer's hook and the retained history is trimmed to the tail fn saw:
+// this is the log-compaction handshake (storage.DynamicStore saves the
+// base image at an epoch, then swaps in a fresh log seeded with the tail).
 func (w *ShardedWriter) Barrier(since uint64, fn func(cur *Snapshot, tail []Delta) (WAL, error)) error {
 	w.pubMu.Lock()
 	defer w.pubMu.Unlock()
@@ -666,8 +697,7 @@ func (w *ShardedWriter) ShardStats() []ShardStat {
 	return out
 }
 
-// Stats snapshots the writer's monitoring counters in the same shape
-// Writer reports, so the shells and serving layers need one code path.
+// Stats snapshots the writer's monitoring counters.
 func (w *ShardedWriter) Stats() WriterStats {
 	w.stageMu.Lock()
 	pending := 0

@@ -9,7 +9,8 @@ import (
 	"testing"
 )
 
-// scriptOp drives the same mutation against a Writer and a ShardedWriter.
+// scriptOp is one step of a mutation script: a staged mutation or a
+// publish.
 type scriptOp struct {
 	kind byte // 'n' node, 'e' edge, 'l' label, 'a' node attr, 'x' edge attr, 'p' publish
 	a, b int
@@ -80,26 +81,71 @@ func runScript(t *testing.T, m mutator, script []scriptOp) (nodeIDs []NodeID, ed
 	return nodeIDs, edgeIDs, epochs
 }
 
-// TestShardedWriterParity holds ShardedWriter to Writer's observable
+// scriptReference derives, without any writer, what running script must
+// produce: the dense IDs staging assigns, the op batch of every epoch
+// (a publish with nothing staged installs no epoch), and the fingerprint
+// each publish returns — a replay of the batches so far onto a fresh
+// mutable graph.
+func scriptReference(t *testing.T, directed bool, script []scriptOp) (nodeIDs []NodeID, edgeIDs []EdgeID, batches []Delta, epochs []string) {
+	t.Helper()
+	var pending []Op
+	publish := func() {
+		if len(pending) > 0 {
+			batches = append(batches, Delta{Epoch: uint64(len(batches) + 1), Ops: pending})
+			pending = nil
+		}
+		epochs = append(epochs, fmt.Sprintf("epoch %d\n%s", len(batches), graphFingerprint(replayOps(t, directed, batches))))
+	}
+	for _, s := range script {
+		switch s.kind {
+		case 'n':
+			nodeIDs = append(nodeIDs, NodeID(len(nodeIDs)))
+			pending = append(pending, Op{Kind: OpAddNode})
+		case 'e':
+			edgeIDs = append(edgeIDs, EdgeID(len(edgeIDs)))
+			pending = append(pending, Op{Kind: OpAddEdge, A: int32(nodeIDs[s.a]), B: int32(nodeIDs[s.b])})
+		case 'l':
+			pending = append(pending, Op{Kind: OpSetLabel, A: int32(nodeIDs[s.a]), Val: s.v})
+		case 'a':
+			pending = append(pending, Op{Kind: OpSetNodeAttr, A: int32(nodeIDs[s.a]), Key: s.k, Val: s.v})
+		case 'x':
+			pending = append(pending, Op{Kind: OpSetEdgeAttr, A: int32(edgeIDs[s.a]), Key: s.k, Val: s.v})
+		case 'p':
+			publish()
+		}
+	}
+	publish()
+	return nodeIDs, edgeIDs, batches, epochs
+}
+
+// batchOps flattens deltas to their op batches.
+func batchOps(deltas []Delta) [][]Op {
+	out := make([][]Op, len(deltas))
+	for i, d := range deltas {
+		out[i] = d.Ops
+	}
+	return out
+}
+
+// TestShardedWriterParity holds ShardedWriter to the script's reference
 // behavior — same assigned IDs, same epochs, same per-epoch fingerprints
-// — for the single-shard compatibility path and for P=4 with parallel
-// application.
+// as a replay of the script's own op sequence — for the single-shard path
+// and for P=4 with parallel application.
 func TestShardedWriterParity(t *testing.T) {
 	for _, directed := range []bool{false, true} {
 		for _, shards := range []int{1, 4} {
 			t.Run(fmt.Sprintf("directed=%v/shards=%d", directed, shards), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(7))
 				script := randomScript(rng, 400)
-				w := NewWriter(New(directed))
+				wn, we, _, weps := scriptReference(t, directed, script)
 				sw := NewShardedWriter(New(directed), shards)
 				sw.ApplyWorkers = 4
-				wn, we, weps := runScript(t, w, script)
 				sn, se, seps := runScript(t, sw, script)
 				if !reflect.DeepEqual(wn, sn) || !reflect.DeepEqual(we, se) {
 					t.Fatalf("assigned IDs diverge")
 				}
 				if !reflect.DeepEqual(weps, seps) {
-					t.Fatalf("epoch fingerprints diverge:\nwriter:\n%s\nsharded:\n%s", weps[len(weps)-1], seps[len(seps)-1])
+					t.Fatalf("epoch fingerprints diverge:\nreference:\n%s\nsharded:\n%s", weps[len(weps)-1], seps[len(seps)-1])
 				}
 			})
 		}
@@ -107,20 +153,15 @@ func TestShardedWriterParity(t *testing.T) {
 }
 
 // TestShardedWriterWALOrdering checks the plain-WAL path appends exactly
-// the op sequence a Writer would, and that per-shard segment batches
-// reassemble to that sequence via their batch indexes.
+// the script's op sequence, one batch per epoch, and that per-shard
+// segment batches reassemble to that sequence via their batch indexes.
 func TestShardedWriterWALOrdering(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	script := randomScript(rng, 300)
+	_, _, ref, _ := scriptReference(t, false, script)
+	flatW := batchOps(ref)
 
-	var flatW, flatS [][]Op
-	w := NewWriter(New(false))
-	w.SetWAL(walFunc(func(ops []Op) error {
-		flatW = append(flatW, append([]Op(nil), ops...))
-		return nil
-	}))
-	runScript(t, w, script)
-
+	var flatS [][]Op
 	sw := NewShardedWriter(New(false), 1)
 	sw.SetWAL(walFunc(func(ops []Op) error {
 		flatS = append(flatS, append([]Op(nil), ops...))
@@ -128,7 +169,7 @@ func TestShardedWriterWALOrdering(t *testing.T) {
 	}))
 	runScript(t, sw, script)
 	if !reflect.DeepEqual(flatW, flatS) {
-		t.Fatalf("P=1 WAL batches diverge from Writer's")
+		t.Fatalf("P=1 WAL batches diverge from the script's op sequence")
 	}
 
 	// P=4 through a ShardWAL: reassembling each epoch's segment records by
@@ -138,7 +179,7 @@ func TestShardedWriterWALOrdering(t *testing.T) {
 	sw4.SetWAL(&shardWALRecorder{onEpoch: func(ops []Op) { epochs = append(epochs, ops) }})
 	runScript(t, sw4, script)
 	if !reflect.DeepEqual(flatW, epochs) {
-		t.Fatalf("P=4 reassembled WAL batches diverge from Writer's")
+		t.Fatalf("P=4 reassembled WAL batches diverge from the script's op sequence")
 	}
 }
 

@@ -1,15 +1,17 @@
 package graph
 
 // A Snapshot is an immutable, epoch-stamped version of a graph: the read
-// view of the MVCC pair Writer/Snapshot. Acquiring one is O(1) (an atomic
-// pointer load inside Writer.Snapshot), holding one pins that version
-// forever — later publishes never mutate it — and every read method of the
-// underlying Graph is safe to call from any number of goroutines.
+// view of the MVCC pair ShardedWriter/Snapshot. Acquiring one is O(1) (an
+// atomic pointer load inside ShardedWriter.Snapshot), holding one pins
+// that version forever — later publishes never mutate it — and every read
+// method of the underlying Graph is safe to call from any number of
+// goroutines.
 //
-// Snapshots are produced by a Writer (writer.go) or by Freeze. The frozen
-// Graph they wrap shares its adjacency storage with neighboring versions
-// through copy-on-write of the dirty tail, so holding many snapshots of a
-// slowly-mutating graph costs far less than many clones.
+// Snapshots are produced by a ShardedWriter (shardedwriter.go) or by
+// Freeze. The frozen Graph they wrap shares its adjacency storage with
+// neighboring versions through copy-on-write of the dirty tail, so
+// holding many snapshots of a slowly-mutating graph costs far less than
+// many clones.
 type Snapshot struct {
 	epoch uint64
 	g     *Graph
@@ -17,8 +19,9 @@ type Snapshot struct {
 
 // Freeze marks g immutable and wraps it as an epoch-0 snapshot. After
 // Freeze, every mutator on g panics; reads (including lazy CSR/profile
-// builds) are safe under concurrency. Use a Writer to continue mutating:
-// NewWriter freezes its graph and hands back fresh versions per publish.
+// builds) are safe under concurrency. Use a ShardedWriter to continue
+// mutating: NewShardedWriter freezes its graph and hands back fresh
+// versions per publish.
 func Freeze(g *Graph) *Snapshot {
 	g.frozen = true
 	return &Snapshot{epoch: g.epoch, g: g}
@@ -33,7 +36,7 @@ func FreezeAt(g *Graph, epoch uint64) *Snapshot {
 	return &Snapshot{epoch: epoch, g: g}
 }
 
-// Epoch returns the snapshot's version number: 0 for the Writer's initial
+// Epoch returns the snapshot's version number: 0 for the writer's initial
 // graph, incremented by every publish.
 func (s *Snapshot) Epoch() uint64 { return s.epoch }
 

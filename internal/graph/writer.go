@@ -1,293 +1,12 @@
 package graph
 
-import (
-	"fmt"
-	"math/rand"
-	"sync"
-	"sync/atomic"
-	"time"
-)
-
-// WAL is the durability hook a Writer calls before publishing a batch:
-// AppendBatch must make the ops durable (storage.Log implements it with an
-// fsynced append-only segment). A publish whose WAL append fails is
+// WAL is the durability hook a ShardedWriter calls before publishing a
+// batch: AppendBatch must make the ops durable (storage.Log implements it
+// with an fsynced append-only segment). A publish whose WAL append fails is
 // aborted — the ops stay pending and no new snapshot appears — so every
 // published epoch is recoverable by replay.
 type WAL interface {
 	AppendBatch(ops []Op) error
-}
-
-// Writer is the single mutation path of the MVCC graph core. It batches
-// mutations (AddNode/AddEdge/SetLabel/Set*Attr assign IDs immediately but
-// stay invisible to readers) and Publish applies the batch copy-on-write
-// to the current snapshot's frozen graph, atomically installing the next
-// epoch. Readers acquire versions with Snapshot() — an atomic pointer
-// load — and are never blocked by the writer, nor the writer by readers.
-//
-// Copy-on-write granularity is the dirty tail: a publish copies the
-// per-node slice headers (O(nodes) memcpy) plus only the adjacency rows,
-// label column, and attribute maps the batch actually touched; everything
-// else is shared structurally with the parent version. The CSR traversal
-// view is extended with a delta overlay (csr.go) instead of rebuilt, and a
-// background compaction folds the overlay flat once it outgrows
-// CompactOverlayAt rows.
-//
-// A Writer's mutation and publish methods may be called from any one
-// goroutine at a time (they lock internally, so multiple ingest goroutines
-// are also safe); reads need no coordination whatsoever.
-type Writer struct {
-	// CompactOverlayAt bounds the CSR delta overlay: after a publish
-	// leaves more overlay rows than this, a background goroutine compacts
-	// the snapshot's CSR to flat arrays. 0 picks a default of
-	// max(256, nodes/8). Negative disables background compaction.
-	CompactOverlayAt int
-
-	// WALRetry bounds the retries of transient WAL-append failures
-	// (degraded.go). Set before sharing the writer; the zero value picks
-	// the defaults (4 attempts, 2ms..50ms exponential backoff + jitter).
-	WALRetry RetryPolicy
-
-	mu      sync.Mutex
-	cur     atomic.Pointer[Snapshot]
-	pending []Op
-
-	// degraded is the sticky read-only failure state (degraded.go); rng
-	// drives the retry jitter. Both are guarded by mu.
-	degraded *DegradedError
-	rng      *rand.Rand
-
-	// Staged object counts: IDs handed out for ops not yet published.
-	stagedNodes int
-	stagedEdges int
-
-	wal     WAL
-	history []Delta // published batches retained while a WAL is attached
-	subs    []func(*Snapshot, Delta)
-
-	opsPublished atomic.Int64
-	compacting   atomic.Bool
-	compactions  atomic.Int64
-}
-
-// NewWriter freezes g as the epoch-0 snapshot and returns its writer. The
-// caller must not retain mutating access to g; all further mutation goes
-// through the writer.
-func NewWriter(g *Graph) *Writer {
-	w := &Writer{stagedNodes: g.NumNodes(), stagedEdges: g.NumEdges()}
-	w.cur.Store(Freeze(g))
-	return w
-}
-
-// NewWriterAt is NewWriter with an explicit starting epoch, used when the
-// graph was recovered by replaying a mutation log: the writer resumes the
-// log's epoch sequence so version numbers stay monotonic across restarts.
-func NewWriterAt(g *Graph, epoch uint64) *Writer {
-	w := &Writer{stagedNodes: g.NumNodes(), stagedEdges: g.NumEdges()}
-	w.cur.Store(FreezeAt(g, epoch))
-	return w
-}
-
-// SetWAL attaches a durability hook: every subsequent Publish appends its
-// batch to wal before installing the snapshot, and the writer starts
-// retaining published deltas for log compaction (Barrier). Attach before
-// the first publish; batches published earlier are not re-appended.
-func (w *Writer) SetWAL(wal WAL) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.wal = wal
-}
-
-// Snapshot returns the current published version: an O(1) atomic load.
-// The snapshot is immutable; hold it as long as needed.
-func (w *Writer) Snapshot() *Snapshot { return w.cur.Load() }
-
-// Subscribe registers fn to run synchronously after every publish, in
-// registration order, with the new snapshot and the batch that produced
-// it. fn runs under the writer's publish lock: it must not call back into
-// the writer. The incremental census maintainer consumes deltas this way.
-func (w *Writer) Subscribe(fn func(*Snapshot, Delta)) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.subs = append(w.subs, fn)
-}
-
-// Pending returns the number of buffered, unpublished ops.
-func (w *Writer) Pending() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.pending)
-}
-
-// AddNode stages a node append and returns the ID it will have once
-// published.
-func (w *Writer) AddNode() NodeID {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	id := NodeID(w.stagedNodes)
-	w.stagedNodes++
-	w.pending = append(w.pending, Op{Kind: OpAddNode})
-	return id
-}
-
-// AddNodes stages n node appends and returns the first staged ID.
-func (w *Writer) AddNodes(n int) NodeID {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	first := NodeID(w.stagedNodes)
-	for i := 0; i < n; i++ {
-		w.stagedNodes++
-		w.pending = append(w.pending, Op{Kind: OpAddNode})
-	}
-	return first
-}
-
-// AddEdge stages an edge append (from -> to for directed graphs) and
-// returns its future EdgeID. Endpoints may be staged nodes not yet
-// published.
-func (w *Writer) AddEdge(from, to NodeID) EdgeID {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.mustStagedNode(from)
-	w.mustStagedNode(to)
-	id := EdgeID(w.stagedEdges)
-	w.stagedEdges++
-	w.pending = append(w.pending, Op{Kind: OpAddEdge, A: int32(from), B: int32(to)})
-	return id
-}
-
-// SetLabel stages a label assignment.
-func (w *Writer) SetLabel(n NodeID, label string) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.mustStagedNode(n)
-	w.pending = append(w.pending, Op{Kind: OpSetLabel, A: int32(n), Val: label})
-}
-
-// SetNodeAttr stages a node attribute assignment; the reserved "label"
-// key routes to SetLabel, mirroring Graph.SetNodeAttr.
-func (w *Writer) SetNodeAttr(n NodeID, key, value string) {
-	if key == LabelAttr {
-		w.SetLabel(n, value)
-		return
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.mustStagedNode(n)
-	w.pending = append(w.pending, Op{Kind: OpSetNodeAttr, A: int32(n), Key: key, Val: value})
-}
-
-// SetEdgeAttr stages an edge attribute assignment.
-func (w *Writer) SetEdgeAttr(e EdgeID, key, value string) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if e < 0 || int(e) >= w.stagedEdges {
-		panic(fmt.Sprintf("graph: edge %d out of staged range [0,%d)", e, w.stagedEdges))
-	}
-	w.pending = append(w.pending, Op{Kind: OpSetEdgeAttr, A: int32(e), Key: key, Val: value})
-}
-
-func (w *Writer) mustStagedNode(n NodeID) {
-	if n < 0 || int(n) >= w.stagedNodes {
-		panic(fmt.Sprintf("graph: node %d out of staged range [0,%d)", n, w.stagedNodes))
-	}
-}
-
-// Publish makes the pending batch durable (when a WAL is attached),
-// applies it copy-on-write, and atomically installs the next snapshot.
-// With nothing pending it returns the current snapshot unchanged.
-//
-// A transient WAL failure (storage classifies; see IsTransient) is
-// retried under WALRetry before anything is given up. An unrecoverable
-// failure aborts the publish — no snapshot appears, the ops stay pending
-// — and flips the writer into read-only degraded mode: this and every
-// subsequent Publish returns the same *DegradedError until
-// ClearDegraded. Readers are never affected; Snapshot() stays an atomic
-// load of the last published version throughout.
-func (w *Writer) Publish() (*Snapshot, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	base := w.cur.Load()
-	if w.degraded != nil {
-		return base, w.degraded
-	}
-	if len(w.pending) == 0 {
-		return base, nil
-	}
-	if w.wal != nil {
-		if err := w.appendWAL(w.pending); err != nil {
-			w.degraded = &DegradedError{Cause: err, Epoch: base.epoch, Since: time.Now()}
-			return base, w.degraded
-		}
-	}
-	next := applyBatch(base.g, w.pending, base.epoch+1)
-	snap := &Snapshot{epoch: base.epoch + 1, g: next}
-	delta := Delta{Epoch: snap.epoch, Ops: w.pending}
-	w.cur.Store(snap)
-	w.opsPublished.Add(int64(len(w.pending)))
-	if w.wal != nil {
-		w.history = append(w.history, delta)
-	}
-	w.pending = nil
-	for _, fn := range w.subs {
-		fn(snap, delta)
-	}
-	w.maybeCompact(next)
-	return snap, nil
-}
-
-// maybeCompact kicks off a background CSR compaction when the new
-// snapshot's delta overlay outgrew its bound. At most one compaction runs
-// at a time; a snapshot published mid-compaction is picked up by the next
-// publish's check.
-func (w *Writer) maybeCompact(g *Graph) {
-	if w.CompactOverlayAt < 0 {
-		return
-	}
-	rows, built := g.CSRInfo()
-	if !built {
-		return
-	}
-	limit := w.CompactOverlayAt
-	if limit == 0 {
-		limit = g.NumNodes() / 8
-		if limit < 256 {
-			limit = 256
-		}
-	}
-	if rows <= limit || !w.compacting.CompareAndSwap(false, true) {
-		return
-	}
-	go func() {
-		g.CompactCSR()
-		w.compactions.Add(1)
-		w.compacting.Store(false)
-	}()
-}
-
-// Barrier runs fn under the publish lock — no publish can interleave —
-// with the current snapshot and the retained deltas newer than epoch
-// `since` (oldest first). If fn returns a non-nil WAL it replaces the
-// writer's hook and the retained history is trimmed to the tail fn saw:
-// this is the log-compaction handshake (storage.DynamicStore saves the
-// base image at an epoch, then swaps in a fresh log seeded with the tail).
-func (w *Writer) Barrier(since uint64, fn func(cur *Snapshot, tail []Delta) (WAL, error)) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	var tail []Delta
-	for _, d := range w.history {
-		if d.Epoch > since {
-			tail = append(tail, d)
-		}
-	}
-	nw, err := fn(w.cur.Load(), tail)
-	if err != nil {
-		return err
-	}
-	if nw != nil {
-		w.wal = nw
-		w.history = tail
-	}
-	return nil
 }
 
 // WriterStats is a point-in-time view of the writer for monitoring
@@ -307,27 +26,9 @@ type WriterStats struct {
 	CSRBuilt    bool
 	// Compactions counts completed background CSR compactions.
 	Compactions int64
-	// Degraded reports read-only degraded mode (see Writer.Degraded).
+	// Degraded reports read-only degraded mode on any shard (see
+	// ShardedWriter.Degraded).
 	Degraded bool
-}
-
-// Stats snapshots the writer's monitoring counters.
-func (w *Writer) Stats() WriterStats {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	snap := w.cur.Load()
-	rows, built := snap.g.CSRInfo()
-	return WriterStats{
-		Epoch:        snap.epoch,
-		Nodes:        w.stagedNodes,
-		Edges:        w.stagedEdges,
-		PendingOps:   len(w.pending),
-		OpsPublished: w.opsPublished.Load(),
-		OverlayRows:  rows,
-		CSRBuilt:     built,
-		Compactions:  w.compactions.Load(),
-		Degraded:     w.degraded != nil,
-	}
 }
 
 // applyBatch produces the next frozen graph version from base and a

@@ -81,7 +81,7 @@ func TestFrozenGraphPanicsOnMutation(t *testing.T) {
 }
 
 func TestWriterPublishVisibility(t *testing.T) {
-	w := NewWriter(New(false))
+	w := NewShardedWriter(New(false), 1)
 	s0 := w.Snapshot()
 	if s0.Epoch() != 0 || s0.NumNodes() != 0 {
 		t.Fatalf("epoch0 = %d nodes=%d", s0.Epoch(), s0.NumNodes())
@@ -125,7 +125,7 @@ func TestWriterSnapshotIsolationAcrossEpochs(t *testing.T) {
 	for _, directed := range []bool{false, true} {
 		t.Run(fmt.Sprintf("directed=%v", directed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
-			w := NewWriter(New(directed))
+			w := NewShardedWriter(New(directed), 1)
 			var deltas []Delta
 			w.Subscribe(func(_ *Snapshot, d Delta) { deltas = append(deltas, d) })
 			w.AddNodes(8)
@@ -198,7 +198,7 @@ func TestWriterOverlayMatchesCompactCSR(t *testing.T) {
 			for i := 0; i < 30; i++ {
 				g.AddEdge(NodeID(rng.Intn(20)), NodeID(rng.Intn(20)))
 			}
-			w := NewWriter(g)
+			w := NewShardedWriter(g, 1)
 			w.CompactOverlayAt = -1 // keep overlays so the test exercises them
 			w.Snapshot().Graph().BuildCSR()
 
@@ -231,7 +231,7 @@ func TestWriterOverlayMatchesCompactCSR(t *testing.T) {
 }
 
 func TestWriterProfilesPerSnapshot(t *testing.T) {
-	w := NewWriter(New(false))
+	w := NewShardedWriter(New(false), 1)
 	a := w.AddNode()
 	b := w.AddNode()
 	w.AddEdge(a, b)
@@ -260,7 +260,7 @@ func TestWriterProfilesPerSnapshot(t *testing.T) {
 }
 
 func TestWriterStagedValidation(t *testing.T) {
-	w := NewWriter(New(false))
+	w := NewShardedWriter(New(false), 1)
 	a := w.AddNode()
 	// Edge to a staged (unpublished) node is fine.
 	w.AddEdge(a, a)
@@ -283,7 +283,7 @@ func TestWriterStagedValidation(t *testing.T) {
 func TestWriterWALOrdering(t *testing.T) {
 	var appended [][]Op
 	fail := false
-	w := NewWriter(New(false))
+	w := NewShardedWriter(New(false), 1)
 	w.SetWAL(walFunc(func(ops []Op) error {
 		if fail {
 			return fmt.Errorf("disk full")
@@ -354,7 +354,7 @@ func (f walFunc) AppendBatch(ops []Op) error { return f(ops) }
 func TestWriterBackgroundCompaction(t *testing.T) {
 	g := New(false)
 	g.AddNodes(64)
-	w := NewWriter(g)
+	w := NewShardedWriter(g, 1)
 	w.CompactOverlayAt = 4
 	w.Snapshot().Graph().BuildCSR()
 

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"egocensus/internal/graph"
 )
@@ -39,7 +40,10 @@ type Pattern struct {
 	subs  map[string][]int // subpattern name -> node indices
 
 	varIndex map[string]int
-	adj      [][]int // positive-edge neighbor indices (both directions), deduplicated
+	// adj caches the positive-edge neighbor indices (both directions,
+	// deduplicated), built lazily and published atomically so concurrent
+	// queries may share one pattern; mutators reset it.
+	adj atomic.Pointer[[][]int]
 }
 
 // New returns an empty pattern with the given name.
@@ -59,7 +63,7 @@ func (p *Pattern) AddNode(variable, label string) (int, error) {
 	idx := len(p.nodes)
 	p.nodes = append(p.nodes, Node{Var: variable, Label: label})
 	p.varIndex[variable] = idx
-	p.adj = nil
+	p.adj.Store(nil)
 	return idx, nil
 }
 
@@ -92,7 +96,7 @@ func (p *Pattern) AddEdge(from, to int, directed, negated bool) error {
 		return fmt.Errorf("pattern %s: self loop on ?%s", p.Name, p.nodes[from].Var)
 	}
 	p.edges = append(p.edges, Edge{From: from, To: to, Directed: directed, Negated: negated})
-	p.adj = nil
+	p.adj.Store(nil)
 	return nil
 }
 
@@ -156,13 +160,14 @@ func (p *Pattern) Predicates() []Predicate { return p.preds }
 // PositiveNeighbors returns the deduplicated indices of nodes connected to
 // i by a non-negated edge in either direction.
 func (p *Pattern) PositiveNeighbors(i int) []int {
-	p.buildAdj()
-	return p.adj[i]
+	return p.adjacency()[i]
 }
 
-func (p *Pattern) buildAdj() {
-	if p.adj != nil {
-		return
+// adjacency returns the positive-edge adjacency, building it on first use.
+// Concurrent first callers may each build it; every build is identical.
+func (p *Pattern) adjacency() [][]int {
+	if adj := p.adj.Load(); adj != nil {
+		return *adj
 	}
 	adj := make([][]int, len(p.nodes))
 	seen := make([]map[int]bool, len(p.nodes))
@@ -185,7 +190,8 @@ func (p *Pattern) buildAdj() {
 	for i := range adj {
 		sort.Ints(adj[i])
 	}
-	p.adj = adj
+	p.adj.Store(&adj)
+	return adj
 }
 
 // Validate checks the structural invariants the evaluation algorithms rely
@@ -194,7 +200,7 @@ func (p *Pattern) Validate() error {
 	if len(p.nodes) == 0 {
 		return fmt.Errorf("pattern %s: no nodes", p.Name)
 	}
-	p.buildAdj()
+	adj := p.adjacency()
 	visited := make([]bool, len(p.nodes))
 	stack := []int{0}
 	visited[0] = true
@@ -202,7 +208,7 @@ func (p *Pattern) Validate() error {
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, m := range p.adj[n] {
+		for _, m := range adj[n] {
 			if !visited[m] {
 				visited[m] = true
 				count++
@@ -226,7 +232,7 @@ func (p *Pattern) Validate() error {
 // unreachable sentinel larger than any real distance) if disconnected —
 // Validate rejects such patterns.
 func (p *Pattern) Distances() [][]int {
-	p.buildAdj()
+	adj := p.adjacency()
 	n := len(p.nodes)
 	d := make([][]int, n)
 	for i := range d {
@@ -239,7 +245,7 @@ func (p *Pattern) Distances() [][]int {
 		for len(queue) > 0 {
 			u := queue[0]
 			queue = queue[1:]
-			for _, v := range p.adj[u] {
+			for _, v := range adj[u] {
 				if row[v] > row[u]+1 {
 					row[v] = row[u] + 1
 					queue = append(queue, v)
@@ -283,13 +289,13 @@ func (p *Pattern) Pivot(candidates []int) (pivot, maxDist int) {
 // (label constraint, then highest positive degree) and greedily appends the
 // neighbor with the most edges into the prefix.
 func (p *Pattern) SearchOrder() []int {
-	p.buildAdj()
+	adj := p.adjacency()
 	n := len(p.nodes)
 	if n == 0 {
 		return nil
 	}
 	score := func(i int) int {
-		s := len(p.adj[i]) * 2
+		s := len(adj[i]) * 2
 		if p.nodes[i].Label != "" {
 			s++
 		}
@@ -311,7 +317,7 @@ func (p *Pattern) SearchOrder() []int {
 				continue
 			}
 			links := 0
-			for _, j := range p.adj[i] {
+			for _, j := range adj[i] {
 				if inOrder[j] {
 					links++
 				}

@@ -30,7 +30,7 @@ var Algorithms = []string{NDBas, NDDiff, NDPvot, PTBas, PTRnd, PTOpt}
 var PairAlgorithms = []string{NDBas, NDPvot, PTBas, PTRnd, PTOpt}
 
 // Cost-unit constants, calibrated so the model reproduces the measured
-// ranking of BENCH_1.json's fig4c sweep (unlabeled triangle census,
+// ranking of the Fig 4(c) sweep (unlabeled triangle census,
 // n=1000 preferential-attachment, k=2): ND-PVOT < PT-BAS < ND-DIFF <<
 // PT-OPT < PT-RND << ND-BAS. A unit is roughly one adjacency-array touch.
 //

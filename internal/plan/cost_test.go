@@ -62,7 +62,7 @@ func TestEstimateMatchesLabelThinning(t *testing.T) {
 }
 
 func TestCostModelReproducesFig4cRanking(t *testing.T) {
-	// The BENCH_1 fig4c sweep: unlabeled triangle census, k=2, over the
+	// The Fig 4(c) sweep: unlabeled triangle census, k=2, over the
 	// n=1000 preferential-attachment graph. The measured ranking is
 	// ND-PVOT < PT-BAS < ND-DIFF << PT-OPT < PT-RND << ND-BAS; the cost
 	// model must reproduce it from the statistics snapshot alone.

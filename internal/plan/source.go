@@ -47,7 +47,7 @@ func (s *GraphSource) Graph() (*graph.Graph, error) { return s.g, nil }
 // SnapshotSource extends Source for versioned (MVCC) backends. A query
 // pins one immutable snapshot and both plans and executes against it, so
 // EXPLAIN's statistics describe exactly the version the execution would
-// see — even while a Writer keeps publishing behind it.
+// see — even while a writer keeps publishing behind it.
 type SnapshotSource interface {
 	Source
 	// Snapshot returns the current published version (O(1)).
@@ -56,58 +56,6 @@ type SnapshotSource interface {
 	// Implementations should memoize per epoch: repeated planning against
 	// an unchanged version must not recompute.
 	StatsAt(s *graph.Snapshot) (*graph.Stats, error)
-}
-
-// WriterSource adapts a graph.Writer as a SnapshotSource: every call
-// observes the writer's latest published snapshot, and statistics are
-// memoized per epoch so only the first query after a publish pays the
-// recompute.
-type WriterSource struct {
-	w *graph.Writer
-
-	mu         sync.Mutex
-	statsEpoch uint64
-	stats      *graph.Stats
-}
-
-// FromWriter wraps a writer's published snapshots as a Source.
-func FromWriter(w *graph.Writer) *WriterSource {
-	return &WriterSource{w: w}
-}
-
-// Snapshot implements SnapshotSource.
-func (s *WriterSource) Snapshot() *graph.Snapshot { return s.w.Snapshot() }
-
-// StatsAt implements SnapshotSource, memoizing the newest epoch's stats.
-func (s *WriterSource) StatsAt(snap *graph.Snapshot) (*graph.Stats, error) {
-	s.mu.Lock()
-	if s.stats != nil && s.statsEpoch == snap.Epoch() {
-		st := s.stats
-		s.mu.Unlock()
-		return st, nil
-	}
-	s.mu.Unlock()
-	// Compute outside the lock: stats over a frozen snapshot are pure.
-	st := graph.ComputeStats(snap.Graph())
-	st.Epoch = snap.Epoch()
-	s.mu.Lock()
-	// Last writer wins; only overwrite a cache for an older epoch so a
-	// concurrent computation for a newer version is not clobbered.
-	if s.stats == nil || s.statsEpoch <= snap.Epoch() {
-		s.statsEpoch, s.stats = snap.Epoch(), st
-	}
-	s.mu.Unlock()
-	return st, nil
-}
-
-// GraphStats implements Source against the latest published version.
-func (s *WriterSource) GraphStats() (*graph.Stats, error) {
-	return s.StatsAt(s.Snapshot())
-}
-
-// Graph implements Source against the latest published version.
-func (s *WriterSource) Graph() (*graph.Graph, error) {
-	return s.Snapshot().Graph(), nil
 }
 
 // PartitionedSource extends SnapshotSource for sharded backends: the
@@ -121,9 +69,11 @@ type PartitionedSource interface {
 }
 
 // ShardedWriterSource adapts a graph.ShardedWriter as a
-// PartitionedSource: snapshots pin exactly like WriterSource, and the
-// per-epoch statistics snapshot is computed shard-parallel (one goroutine
-// per shard, capped at GOMAXPROCS) and merged.
+// PartitionedSource: every call observes the writer's latest published
+// snapshot, and statistics are memoized per epoch so only the first query
+// after a publish pays the recompute. For a sharded writer the statistics
+// snapshot is computed shard-parallel (one goroutine per shard, capped at
+// GOMAXPROCS) and merged.
 type ShardedWriterSource struct {
 	w *graph.ShardedWriter
 

@@ -74,23 +74,12 @@ const DefaultCompactAtBytes = 4 << 20
 // it in 16 bits).
 const MaxShards = 1<<16 - 1
 
-// CreateDynamic initializes an unsharded dynamic store at basePath from
-// g: the base image is saved atomically, an empty mutation log is created
-// beside it, and the opened store is returned. Fails if basePath already
-// exists.
-func CreateDynamic(basePath string, g *graph.Graph) (*DynamicStore, error) {
-	return CreateDynamicShardedFS(fault.OS{}, basePath, g, 1)
-}
-
-// CreateDynamicFS is CreateDynamic through an explicit filesystem seam.
-func CreateDynamicFS(fsys fault.FS, basePath string, g *graph.Graph) (*DynamicStore, error) {
-	return CreateDynamicShardedFS(fsys, basePath, g, 1)
-}
-
-// CreateDynamicSharded initializes a dynamic store partitioned across
-// shards mutation-log lanes. The shard count is recorded in the image
-// header and fixed for the store's lifetime; shards <= 1 creates the
-// historical unsharded layout.
+// CreateDynamicSharded initializes a dynamic store at basePath from g,
+// partitioned across shards mutation-log lanes: the base image is saved
+// atomically, empty mutation logs are created beside it, and the opened
+// store is returned. The shard count is recorded in the image header and
+// fixed for the store's lifetime; shards <= 1 creates the historical
+// unsharded layout. Fails if basePath already exists.
 func CreateDynamicSharded(basePath string, g *graph.Graph, shards int) (*DynamicStore, error) {
 	return CreateDynamicShardedFS(fault.OS{}, basePath, g, shards)
 }
@@ -237,8 +226,8 @@ func OpenDynamicFS(fsys fault.FS, basePath string) (*DynamicStore, error) {
 
 // Writer returns the store's single mutation path. Batches published
 // through it are durable before they are visible. With one shard the
-// writer behaves exactly like the plain graph.Writer; with P shards a
-// failed segment degrades only the lane that owns it.
+// whole writer degrades on a failed append; with P shards a failed
+// segment degrades only the lane that owns it.
 func (ds *DynamicStore) Writer() *graph.ShardedWriter { return ds.w }
 
 // Snapshot returns the current published version (O(1)).

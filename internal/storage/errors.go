@@ -31,9 +31,9 @@ func (st *Store) corrupt(format string, args ...any) error {
 // TransientError classifies a storage failure as plausibly recoverable by
 // retrying: the condition (disk full, interrupted syscall, resource
 // exhaustion) can clear without replacing hardware or files. The
-// graph.Writer's publish path retries transient WAL appends with bounded
-// exponential backoff before entering degraded mode; every other storage
-// failure is treated as permanent and degrades immediately.
+// graph.ShardedWriter's publish path retries transient WAL appends with
+// bounded exponential backoff before entering degraded mode; every other
+// storage failure is treated as permanent and degrades immediately.
 type TransientError struct {
 	// Op names the failed operation ("wal append", "wal sync", ...).
 	Op string

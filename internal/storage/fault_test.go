@@ -36,7 +36,7 @@ func countingReplay(got *[]graph.Delta) func(graph.Delta) error {
 func TestLogFailedSyncIsTransientAndRetryable(t *testing.T) {
 	dir := t.TempDir()
 	p := filepath.Join(dir, "m.log")
-	// Sync #1 is the header fsync in CreateLog; #2 is the first append's.
+	// Sync #1 is the header fsync in CreateLogFS; #2 is the first append's.
 	inj := fault.NewInjector(fault.OS{}, 1,
 		fault.Rule{Op: fault.OpSync, Path: ".log", From: 2, Count: 1, Err: syscall.ENOSPC})
 	l, err := CreateLogFS(inj, p, 0xFEED, 7)
@@ -68,7 +68,7 @@ func TestLogFailedSyncIsTransientAndRetryable(t *testing.T) {
 	l.Close()
 
 	var got []graph.Delta
-	l2, err := OpenLog(p, 0xFEED, countingReplay(&got))
+	l2, err := OpenLogFS(fault.OS{}, p, 0xFEED, countingReplay(&got))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestLogTornWriteEveryCut(t *testing.T) {
 				wantRecs, wantEpoch = 3, baseEpoch+3
 			}
 			var got []graph.Delta
-			l2, err := OpenLog(p, baseCRC, countingReplay(&got))
+			l2, err := OpenLogFS(fault.OS{}, p, baseCRC, countingReplay(&got))
 			if err != nil {
 				t.Fatalf("recovery open: %v", err)
 			}
@@ -175,7 +175,7 @@ func TestLogSyncFailureHaltKeepsDurableRecord(t *testing.T) {
 	l.Close()
 
 	var got []graph.Delta
-	l2, err := OpenLog(p, 0xBEEF, countingReplay(&got))
+	l2, err := OpenLogFS(fault.OS{}, p, 0xBEEF, countingReplay(&got))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestWriterRetriesTransientWALFailures(t *testing.T) {
 	}
 	defer l.Close()
 
-	w := graph.NewWriter(graph.New(false))
+	w := graph.NewShardedWriter(graph.New(false), 1)
 	w.WALRetry = graph.RetryPolicy{MaxAttempts: 4, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond}
 	w.SetWAL(l)
 	w.AddNode()
@@ -231,7 +231,7 @@ func TestWriterDegradesOnPermanentWALFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w := graph.NewWriter(graph.New(false))
+	w := graph.NewShardedWriter(graph.New(false), 1)
 	w.WALRetry = graph.RetryPolicy{MaxAttempts: 4, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond}
 	w.SetWAL(l)
 	pinned := w.Snapshot()
@@ -280,7 +280,7 @@ func TestWriterDegradesOnPermanentWALFailure(t *testing.T) {
 	l.Close()
 
 	var got []graph.Delta
-	l2, err := OpenLog(p, 0xAB, countingReplay(&got))
+	l2, err := OpenLogFS(fault.OS{}, p, 0xAB, countingReplay(&got))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestSaveToleratesDirectorySyncFailure(t *testing.T) {
 }
 
 // FuzzMutlogFaultRecovery crashes the filesystem at a fuzzed point while
-// appending and asserts the recovery invariants: OpenLog never panics,
+// appending and asserts the recovery invariants: OpenLogFS never panics,
 // replays every fsynced record, at most one unacknowledged-but-durable
 // record beyond that, keeps epochs contiguous, and leaves the log
 // appendable.
@@ -350,7 +350,7 @@ func FuzzMutlogFaultRecovery(f *testing.F) {
 		l.Close()
 
 		recovered := 0
-		l2, err := OpenLog(p, baseCRC, func(graph.Delta) error { recovered++; return nil })
+		l2, err := OpenLogFS(fault.OS{}, p, baseCRC, func(graph.Delta) error { recovered++; return nil })
 		if err != nil {
 			t.Fatalf("recovery failed (seed=%d occ=%d keep=%d sync=%v): %v", seed, occ, keep, syncFail, err)
 		}
@@ -366,7 +366,7 @@ func FuzzMutlogFaultRecovery(f *testing.F) {
 		l2.Close()
 
 		final := 0
-		l3, err := OpenLog(p, baseCRC, func(graph.Delta) error { final++; return nil })
+		l3, err := OpenLogFS(fault.OS{}, p, baseCRC, func(graph.Delta) error { final++; return nil })
 		if err != nil {
 			t.Fatal(err)
 		}

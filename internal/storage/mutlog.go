@@ -15,7 +15,7 @@ import (
 
 // The mutation log is the durability half of the dynamic store: an
 // append-only sidecar segment next to a base .egoc image. Each record is
-// one published Writer batch, framed as
+// one published writer batch, framed as
 //
 //	[u32 payload length][payload][u32 CRC32(payload)]
 //
@@ -47,7 +47,7 @@ const (
 )
 
 // Log is an open mutation-log segment positioned for appending. It
-// implements graph.WAL, so it plugs directly into graph.Writer.SetWAL.
+// implements graph.WAL, so it plugs directly into graph.ShardedWriter.SetWAL.
 type Log struct {
 	fsys      fault.FS
 	path      string
@@ -66,14 +66,9 @@ type Log struct {
 	buf       []byte
 }
 
-// CreateLog creates (or truncates) a mutation log at path extending a
+// CreateLogFS creates (or truncates) a mutation log at path extending a
 // base image with trailing CRC baseCRC, whose state is epoch baseEpoch.
 // The header is fsynced before returning.
-func CreateLog(path string, baseCRC uint32, baseEpoch uint64) (*Log, error) {
-	return CreateLogFS(fault.OS{}, path, baseCRC, baseEpoch)
-}
-
-// CreateLogFS is CreateLog through an explicit filesystem seam.
 func CreateLogFS(fsys fault.FS, path string, baseCRC uint32, baseEpoch uint64) (*Log, error) {
 	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -98,7 +93,7 @@ func CreateLogFS(fsys fault.FS, path string, baseCRC uint32, baseEpoch uint64) (
 	return l, nil
 }
 
-// OpenLog opens an existing mutation log, validates its header against
+// OpenLogFS opens an existing mutation log, validates its header against
 // the expected base-image CRC, replays every intact record through apply
 // (oldest first), truncates any torn tail, and returns the log positioned
 // for appending.
@@ -106,14 +101,9 @@ func CreateLogFS(fsys fault.FS, path string, baseCRC uint32, baseEpoch uint64) (
 // A missing file is not an error here — callers decide whether to create
 // one. A header that is short, has bad magic, or binds a different base
 // image yields *CorruptFileError (the dynamic store intercepts the
-// stale-pair case separately via LogBaseCRC). A CRC-valid record that
+// stale-pair case separately via logBaseCRCFS). A CRC-valid record that
 // fails to decode, or whose epoch breaks the contiguous sequence, is also
 // *CorruptFileError: that is structural damage, not a crash artifact.
-func OpenLog(path string, baseCRC uint32, apply func(graph.Delta) error) (*Log, error) {
-	return OpenLogFS(fault.OS{}, path, baseCRC, apply)
-}
-
-// OpenLogFS is OpenLog through an explicit filesystem seam.
 func OpenLogFS(fsys fault.FS, path string, baseCRC uint32, apply func(graph.Delta) error) (*Log, error) {
 	data, err := fsys.ReadFile(path)
 	if err != nil {
@@ -177,15 +167,11 @@ func OpenLogFS(fsys fault.FS, path string, baseCRC uint32, apply func(graph.Delt
 	}, nil
 }
 
-// LogBaseCRC reads just the base-image binding of the log at path, so the
-// dynamic store can detect a stale log (left behind by a crash between a
-// compaction's base-image save and its log swap) without replaying it.
+// logBaseCRCFS reads just the base-image binding of the log at path, so
+// the dynamic store can detect a stale log (left behind by a crash between
+// a compaction's base-image save and its log swap) without replaying it.
 // It also scans for the last intact epoch, which bounds the epoch
 // sequence a fresh log must resume from.
-func LogBaseCRC(path string) (baseCRC uint32, lastEpoch uint64, err error) {
-	return logBaseCRCFS(fault.OS{}, path)
-}
-
 func logBaseCRCFS(fsys fault.FS, path string) (baseCRC uint32, lastEpoch uint64, err error) {
 	data, err := fsys.ReadFile(path)
 	if err != nil {
@@ -297,7 +283,7 @@ func takeStr16(p []byte) (string, []byte, error) {
 
 // AppendBatch encodes ops as the next epoch's record, appends it, and
 // fsyncs before returning — this is the graph.WAL hook, called by
-// graph.Writer.Publish before the batch becomes visible in memory. On a
+// graph.ShardedWriter.Publish before the batch becomes visible in memory. On a
 // write failure the partial frame is truncated away (and the file offset
 // rewound to the record boundary, so a retried append never leaves a
 // zero-filled hole behind a torn prefix); if even that fails the log

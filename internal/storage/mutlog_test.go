@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"egocensus/internal/fault"
 	"egocensus/internal/graph"
 )
 
@@ -33,7 +34,7 @@ func openDynAt(t *testing.T, dir string) (*DynamicStore, string) {
 		g := graph.New(false)
 		g.AddNodes(4)
 		g.AddEdge(0, 1)
-		ds, err := CreateDynamic(base, g)
+		ds, err := CreateDynamicShardedFS(fault.OS{}, base, g, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -82,13 +82,8 @@ type ShardedLog struct {
 	size      int64
 }
 
-// CreateShardedLog creates fresh (truncated) segments for every shard.
-func CreateShardedLog(basePath string, baseCRC uint32, baseEpoch uint64, shards int) (*ShardedLog, error) {
-	return CreateShardedLogFS(fault.OS{}, basePath, baseCRC, baseEpoch, shards)
-}
-
-// CreateShardedLogFS is CreateShardedLog through a filesystem seam. The
-// segment files land at basePath+".log.<shard>"; compaction creates them
+// CreateShardedLogFS creates fresh (truncated) segments for every shard
+// through a filesystem seam. The segment files land at basePath+".log.<shard>"; compaction creates them
 // under a temporary basePath and renames them into place.
 func CreateShardedLogFS(fsys fault.FS, basePath string, baseCRC uint32, baseEpoch uint64, shards int) (*ShardedLog, error) {
 	l := &ShardedLog{fsys: fsys, basePath: basePath, baseCRC: baseCRC, shards: shards, lastEpoch: baseEpoch}
@@ -244,14 +239,9 @@ const (
 	segMissing
 )
 
-// OpenShardedLog opens the segment set of a sharded store, replaying
-// every complete epoch through apply in publish order.
-func OpenShardedLog(basePath string, baseCRC uint32, shards int, apply func(graph.Delta) error) (*ShardedLog, error) {
-	return OpenShardedLogFS(fault.OS{}, basePath, baseCRC, shards, apply)
-}
-
-// OpenShardedLogFS is OpenShardedLog through a filesystem seam. Recovery
-// semantics, per segment and across them:
+// OpenShardedLogFS opens the segment set of a sharded store through a
+// filesystem seam, replaying every complete epoch through apply in
+// publish order. Recovery semantics, per segment and across them:
 //
 //   - A torn final frame in a segment (crash mid-append) is truncated.
 //   - The newest epoch incomplete across segments (crash between segment

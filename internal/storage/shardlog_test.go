@@ -89,9 +89,9 @@ func TestShardedDynamicCreateReplayParity(t *testing.T) {
 }
 
 // TestShardedOneShardByteIdentity pins the compatibility contract: a
-// 1-shard store's image and log bytes are exactly what the unsharded
-// writer-plus-log pipeline produces, so pre-sharding stores and 1-shard
-// stores are interchangeable on disk.
+// 1-shard store's image and log bytes are exactly a plain image plus the
+// v1 log of its batches, so pre-sharding stores and 1-shard stores are
+// interchangeable on disk.
 func TestShardedOneShardByteIdentity(t *testing.T) {
 	dir := t.TempDir()
 	shardedBase := filepath.Join(dir, "sharded.egoc")
@@ -105,8 +105,9 @@ func TestShardedOneShardByteIdentity(t *testing.T) {
 	publishShardBatches(t, ds, 7, 5)
 	ds.Close()
 
-	// The reference pipeline: plain Writer over an identical base image,
-	// appending the identical deltas through the v1 log.
+	// The reference pipeline, with no writer involved: an identical base
+	// image, and the batches publishShardBatches stages (re-derived from
+	// the same seed) appended directly through the v1 log.
 	if err := Save(plainBase, seedShardGraph()); err != nil {
 		t.Fatal(err)
 	}
@@ -118,22 +119,21 @@ func TestShardedOneShardByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := graph.NewWriter(seedShardGraph())
-	w.SetWAL(l)
 	rng := rand.New(rand.NewSource(7))
-	snapNodes := 8
 	for b := 0; b < 5; b++ {
-		nodes := snapNodes + w.Pending()
-		first := w.AddNodes(2)
-		w.AddEdge(first, graph.NodeID(rng.Intn(nodes)))
-		w.AddEdge(first+1, graph.NodeID(rng.Intn(nodes)))
-		w.SetLabel(graph.NodeID(rng.Intn(nodes)), fmt.Sprintf("l%d", b%3))
-		w.SetNodeAttr(graph.NodeID(rng.Intn(nodes)), "b", fmt.Sprintf("%d", b))
-		snap, err := w.Publish()
-		if err != nil {
+		nodes := int32(seedShardGraph().NumNodes() + 2*b)
+		pick := func() int32 { return int32(rng.Intn(int(nodes))) }
+		to1, to2, labeled, attred := pick(), pick(), pick(), pick()
+		if err := l.AppendBatch([]graph.Op{
+			{Kind: graph.OpAddNode},
+			{Kind: graph.OpAddNode},
+			{Kind: graph.OpAddEdge, A: nodes, B: to1},
+			{Kind: graph.OpAddEdge, A: nodes + 1, B: to2},
+			{Kind: graph.OpSetLabel, A: labeled, Val: fmt.Sprintf("l%d", b%3)},
+			{Kind: graph.OpSetNodeAttr, A: attred, Key: "b", Val: fmt.Sprintf("%d", b)},
+		}); err != nil {
 			t.Fatal(err)
 		}
-		snapNodes = snap.NumNodes()
 	}
 	l.Close()
 
@@ -294,7 +294,7 @@ func TestShardedMidHoleIsCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := CreateShardedLog(base, crc, 0, 3)
+	l, err := CreateShardedLogFS(fault.OS{}, base, crc, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

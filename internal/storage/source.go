@@ -11,11 +11,13 @@ import "egocensus/internal/graph"
 // materialization. Each node's adjacency record is an 8-byte count
 // header followed by 8 bytes per stored half-edge, so its degree is
 // recoverable from consecutive index offsets alone. The snapshot is
-// memoized.
+// computed once and memoized; concurrent callers share it.
 func (st *Store) GraphStats() (*graph.Stats, error) {
-	if st.stats != nil {
-		return st.stats, nil
-	}
+	st.statsOnce.Do(func() { st.stats = st.computeStats() })
+	return st.stats, nil
+}
+
+func (st *Store) computeStats() *graph.Stats {
 	s := &graph.Stats{
 		Edges:       st.NumEdges(),
 		Directed:    st.Directed(),
@@ -28,13 +30,17 @@ func (st *Store) GraphStats() (*graph.Stats, error) {
 			s.LabelCounts[st.labels.Name(l)]++
 		}
 	}
-	st.stats = s
-	return s, nil
+	return s
 }
 
 // Graph materializes the stored graph on first use and caches it, so
-// repeated queries over one store pay the load once.
+// repeated queries over one store pay the load once. Materialization is
+// single-flight: concurrent first callers wait for one load, which keeps
+// the block cache single-goroutine. A failed load is not memoized; the
+// next call retries.
 func (st *Store) Graph() (*graph.Graph, error) {
+	st.graphMu.Lock()
+	defer st.graphMu.Unlock()
 	if st.graph != nil {
 		return st.graph, nil
 	}

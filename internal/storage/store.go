@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
 
 	"egocensus/internal/fault"
 	"egocensus/internal/graph"
@@ -20,6 +21,12 @@ const DefaultCacheBlocks = 1024
 // dictionary, per-node labels, adjacency index and attribute indexes are
 // resident; adjacency and attribute payloads are read on demand through a
 // fixed-capacity block cache.
+//
+// The on-demand readers (Adjacency, EdgeEndpoints, NodeAttrs, EdgeAttrs,
+// Materialize) share the block cache and are not safe for concurrent use.
+// GraphStats and Graph — the plan.Source methods a shared query engine
+// calls — are: each computes once, single-flight, however many first
+// queries race for it.
 type Store struct {
 	f    fault.File
 	path string
@@ -35,8 +42,10 @@ type Store struct {
 
 	cache *blockCache
 
-	stats *graph.Stats // memoized planner snapshot (source.go)
-	graph *graph.Graph // memoized materialization (source.go)
+	statsOnce sync.Once
+	stats     *graph.Stats // memoized planner snapshot (source.go)
+	graphMu   sync.Mutex   // single-flights Graph's materialization
+	graph     *graph.Graph // memoized materialization (source.go)
 
 	// Stats counts cache behaviour for tests and tuning.
 	Stats CacheStats
@@ -583,7 +592,9 @@ func (st *Store) block(id int64) ([]byte, error) {
 }
 
 // blockCache is a fixed-capacity cache with CLOCK (second chance)
-// eviction.
+// eviction. It is single-goroutine by contract: even a hit mutates the
+// entry's use bit and the Store's hit counters, so callers serialize all
+// access (Store.Graph holds graphMu across Materialize for exactly this).
 type blockCache struct {
 	capacity int
 	entries  map[int64]*cacheEntry
