@@ -48,7 +48,7 @@ func CountApproxContext(ctx context.Context, g *graph.Graph, spec Spec, sampleRa
 	}
 	gd, cancel := newGuard(ctx, opt.Limits)
 	defer cancel()
-	matches, err := globalMatchesGuarded(g, spec, opt, gd)
+	matches, _, err := globalMatchesGuarded(g, spec, opt, gd)
 	if err != nil {
 		return nil, err
 	}

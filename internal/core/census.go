@@ -168,10 +168,10 @@ type Options struct {
 	// PT-RND ordering).
 	Seed int64
 
-	// Workers bounds the parallelism of the counting phase (ND-PVOT focal
-	// nodes, PT-OPT/PT-RND clusters). Zero or one runs sequentially;
-	// negative values mean "auto" (one worker per CPU); absurd values are
-	// capped. See EffectiveWorkers.
+	// Workers bounds the parallelism of the global match's extraction and
+	// of the counting phase (ND-PVOT focal nodes, PT-OPT/PT-RND clusters).
+	// Zero or one runs sequentially; negative values mean "auto" (one
+	// worker per CPU); absurd values are capped. See EffectiveWorkers.
 	Workers int
 
 	// Limits bounds the resources evaluation may consume (match-set size,
@@ -248,6 +248,11 @@ type Result struct {
 	// NumMatches is |M|, the global number of pattern matches found (0 for
 	// ND-BAS, which never materializes the global match set).
 	NumMatches int
+	// Embeddings is the number of embeddings the matcher emitted to find
+	// those matches (0 where NumMatches is). CN's symmetry breaking
+	// emits one per match for COUNTP; a matcher that emits every
+	// automorphic image reports |Aut| per match.
+	Embeddings int
 }
 
 // Count evaluates a single-node census with the chosen algorithm.
@@ -292,30 +297,45 @@ func countGuarded(g *graph.Graph, spec Spec, alg Algorithm, opt Options, gd *gua
 	}
 }
 
-// globalMatches finds the deduplicated set of matches of the spec's
-// pattern in g (ungoverned form, for batch paths and tests).
-func globalMatches(g *graph.Graph, spec Spec, opt Options) []pattern.Match {
-	emb := opt.matcher().Embeddings(g, spec.Pattern)
-	return match.Deduplicate(spec.Pattern, emb, spec.subNodesForKey())
-}
-
-// globalMatchesGuarded is globalMatches under a guard: enumeration aborts
-// within one check epoch of a stop, and the deduplicated match set is
-// charged against the MaxMatches and MemoryBudget limits.
-func globalMatchesGuarded(g *graph.Graph, spec Spec, opt Options, gd *guard) ([]pattern.Match, error) {
-	emb := opt.matcherFor(gd).Embeddings(g, spec.Pattern)
-	if gd.stopped() {
-		return nil, gd.failure(nil, nil)
+// globalMatchesGuarded finds the set M of matches of the spec's pattern
+// in g, in lexicographic order, plus the number of embeddings the
+// matcher emitted to find it. A match.SetMatcher (CN) returns the set
+// directly and extracts on opt's workers; other matchers' embeddings are
+// deduplicated here. Under a guard, enumeration aborts within one check
+// epoch of a stop, and the match set is charged against the MaxMatches
+// and MemoryBudget limits; a nil guard checks nothing and never fails.
+func globalMatchesGuarded(g *graph.Graph, spec Spec, opt Options, gd *guard) ([]pattern.Match, int, error) {
+	m := opt.matcherFor(gd)
+	var matches []pattern.Match
+	var embeddings int
+	if sm, ok := m.(match.SetMatcher); ok {
+		workers := opt.workers()
+		matches, embeddings = sm.Matches(g, spec.Pattern, spec.subNodesForKey(), match.Scheduler{
+			Workers: workers,
+			// The matcher polls the guard itself; scheduling without it
+			// keeps root candidates out of the focal progress counters.
+			ForEach: func(n int, cost func(int) int64, body func(w, i int)) {
+				parallelForWorkerCost(nil, workers, n, cost, body)
+			},
+		})
+	} else {
+		emb := m.Embeddings(g, spec.Pattern)
+		if gd.stopped() {
+			return nil, 0, gd.failure(nil, nil)
+		}
+		matches, embeddings = match.Deduplicate(spec.Pattern, emb, spec.subNodesForKey()), len(emb)
 	}
-	matches := match.Deduplicate(spec.Pattern, emb, spec.subNodesForKey())
+	if gd.stopped() {
+		return nil, 0, gd.failure(nil, nil)
+	}
 	// Dominant cost of the match set: one NodeID per pattern node per
 	// match, plus slice headers.
 	perMatch := int64(spec.Pattern.NumNodes())*4 + 24
 	gd.chargeMem(int64(len(matches)) * perMatch)
 	if err := gd.chargeMatches(len(matches)); err != nil {
-		return nil, gd.failure(nil, nil)
+		return nil, 0, gd.failure(nil, nil)
 	}
-	return matches, nil
+	return matches, embeddings, nil
 }
 
 // matchAnchors returns the deduplicated image nodes of the spec's anchor

@@ -8,15 +8,23 @@ import (
 	"egocensus/internal/centers"
 	"egocensus/internal/gen"
 	"egocensus/internal/graph"
+	"egocensus/internal/match"
 	"egocensus/internal/pattern"
 )
+
+// referenceMatches is the match set M by definition: every embedding,
+// deduplicated by key. It shares no code with the symmetry-broken global
+// match the drivers use.
+func referenceMatches(g *graph.Graph, spec Spec) []pattern.Match {
+	return match.Deduplicate(spec.Pattern, match.CN{}.Embeddings(g, spec.Pattern), spec.subNodesForKey())
+}
 
 // bruteCounts computes the reference census directly from the definition:
 // global matches, then per-focal containment of the anchor images.
 func bruteCounts(t *testing.T, g *graph.Graph, spec Spec) []int64 {
 	t.Helper()
 	counts := make([]int64, g.NumNodes())
-	matches := globalMatches(g, spec, Options{})
+	matches := referenceMatches(g, spec)
 	anchorIdx := spec.anchorNodes()
 	for _, n := range spec.focalList(g) {
 		reach := g.KHopNodes(n, spec.K)
@@ -345,11 +353,57 @@ func TestNumMatchesReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := len(globalMatches(g, spec, Options{}))
+	want := len(referenceMatches(g, spec))
 	if res.NumMatches != want {
 		t.Fatalf("NumMatches = %d want %d", res.NumMatches, want)
 	}
 	if want == 0 {
 		t.Skip("instance has no triangles")
+	}
+}
+
+// TestEmbeddingsPerMatch pins the embeddings-emitted counter: symmetry
+// breaking leaves one CN embedding per COUNTP match on the unlabeled
+// triangle and 4-clique (6 and 24 per match before) and on the labelled
+// clq3, and the count reaches ExecStats and its JSON form. A matcher that
+// emits every automorphic image reports |Aut| per match.
+func TestEmbeddingsPerMatch(t *testing.T) {
+	g := gen.PreferentialAttachment(300, 5, 3)
+	gen.AssignLabels(g, 4, 4)
+	for _, p := range []*pattern.Pattern{
+		pattern.Clique("clq3", 3, nil),
+		pattern.Clique("clq4", 4, nil),
+		pattern.Clique("clq3", 3, []string{"l0", "l1", "l2"}),
+	} {
+		res, err := Count(g, Spec{Pattern: p, K: 1}, NDPvot, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.NumMatches == 0 || res.Embeddings != res.NumMatches {
+			t.Fatalf("%s %v: %d embeddings for %d matches, want one each", p.Name, p.Node(0).Label, res.Embeddings, res.NumMatches)
+		}
+	}
+	tri := Spec{Pattern: pattern.Clique("clq3", 3, nil), K: 1}
+	res, err := Count(g, tri, NDPvot, Options{Matcher: match.GQL{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Embeddings != 6*res.NumMatches {
+		t.Fatalf("GQL: %d embeddings for %d triangles, want 6 each", res.Embeddings, res.NumMatches)
+	}
+
+	e := NewEngine(g)
+	e.Alg = PTOpt
+	tables, err := e.Execute(`PATTERN clq3 { ?A-?B; ?B-?C; ?A-?C; [?A.LABEL='l0']; [?B.LABEL='l1']; [?C.LABEL='l2']; }
+SELECT ID, COUNTP(clq3, SUBGRAPH(ID, 1)) FROM nodes`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := tables[0].Stats
+	if st.MatchSetSize == 0 || st.Embeddings != st.MatchSetSize {
+		t.Fatalf("ExecStats: %d embeddings for %d matches", st.Embeddings, st.MatchSetSize)
+	}
+	if js := NewTableJSON(tables[0]); js.Stats.Embeddings != st.Embeddings {
+		t.Fatalf("ExecStatsJSON.Embeddings = %d, want %d", js.Stats.Embeddings, st.Embeddings)
 	}
 }

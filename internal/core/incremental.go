@@ -73,7 +73,11 @@ func NewIncremental(g *graph.Graph, spec Spec, opt Options) (*Incremental, error
 		anchorIdx: spec.anchorNodes(),
 		subNodes:  spec.subNodesForKey(),
 	}
-	for _, m := range globalMatches(g, spec, opt) {
+	matches, _, err := globalMatchesGuarded(g, spec, opt, nil)
+	if err != nil {
+		return nil, err
+	}
+	for _, m := range matches {
 		inc.insertMatch(m, true)
 	}
 	return inc, nil
@@ -278,7 +282,8 @@ func (inc *Incremental) rebuild() {
 	inc.keys = map[string]int{}
 	inc.byNode = map[graph.NodeID][]int{}
 	inc.numAlive = 0
-	for _, m := range globalMatches(inc.g, inc.spec, inc.opt) {
+	matches, _, _ := globalMatchesGuarded(inc.g, inc.spec, inc.opt, nil) // a nil guard never fails
+	for _, m := range matches {
 		inc.insertMatch(m, true)
 	}
 }

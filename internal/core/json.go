@@ -32,6 +32,7 @@ type ExecStatsJSON struct {
 	FocalCount   int   `json:"focal_count"`
 	CensusMicros int64 `json:"census_us"`
 	MatchSetSize int   `json:"match_set_size"`
+	Embeddings   int   `json:"embeddings"`
 	RenderMicros int64 `json:"render_us"`
 	Rows         int   `json:"rows"`
 }
@@ -54,6 +55,7 @@ func NewTableJSON(t *Table) TableJSON {
 			FocalCount:   t.Stats.FocalCount,
 			CensusMicros: t.Stats.CensusTime.Microseconds(),
 			MatchSetSize: t.Stats.MatchSetSize,
+			Embeddings:   t.Stats.Embeddings,
 			RenderMicros: t.Stats.RenderTime.Microseconds(),
 			Rows:         t.Stats.Rows,
 		},

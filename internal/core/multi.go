@@ -57,11 +57,11 @@ func countManyGuarded(g *graph.Graph, specs []Spec, opt Options, gd *guard) ([]*
 	states := make([]*pvState, len(specs))
 	results := make([]*Result, len(specs))
 	for i, spec := range specs {
-		matches, err := globalMatchesGuarded(g, spec, opt, gd)
+		matches, embs, err := globalMatchesGuarded(g, spec, opt, gd)
 		if err != nil {
 			return nil, err
 		}
-		results[i] = &Result{Counts: make([]int64, g.NumNodes()), NumMatches: len(matches)}
+		results[i] = &Result{Counts: make([]int64, g.NumNodes()), NumMatches: len(matches), Embeddings: embs}
 		if len(matches) == 0 {
 			continue
 		}

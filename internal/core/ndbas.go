@@ -102,11 +102,11 @@ func (m *reachMask) Members() []graph.NodeID      { return m.r.Nodes }
 func countNDBasSubpattern(g *graph.Graph, spec Spec, opt Options, gd *guard) (*Result, error) {
 	res := &Result{Counts: make([]int64, g.NumNodes())}
 	gd.chargeMem(int64(g.NumNodes()) * 8)
-	matches, err := globalMatchesGuarded(g, spec, opt, gd)
+	matches, embs, err := globalMatchesGuarded(g, spec, opt, gd)
 	if err != nil {
 		return nil, err
 	}
-	res.NumMatches = len(matches)
+	res.NumMatches, res.Embeddings = len(matches), embs
 	anchorIdx := spec.anchorNodes()
 	focal := spec.focalList(g)
 	gd.setFocalTotal(len(focal))

@@ -24,11 +24,11 @@ import (
 func countNDDiff(g *graph.Graph, spec Spec, opt Options, gd *guard) (*Result, error) {
 	res := &Result{Counts: make([]int64, g.NumNodes())}
 	gd.chargeMem(int64(g.NumNodes()) * 8)
-	matches, err := globalMatchesGuarded(g, spec, opt, gd)
+	matches, embs, err := globalMatchesGuarded(g, spec, opt, gd)
 	if err != nil {
 		return nil, err
 	}
-	res.NumMatches = len(matches)
+	res.NumMatches, res.Embeddings = len(matches), embs
 	if len(matches) == 0 {
 		return res, nil
 	}

@@ -44,6 +44,10 @@ type ExecStats struct {
 	// MatchSetSize is |M|, the global match-set size summed over
 	// aggregates (0 for ND-BAS, which never materializes it).
 	MatchSetSize int
+	// Embeddings is the number of embeddings the global match emitted to
+	// find those matches, summed like MatchSetSize. It equals
+	// MatchSetSize when symmetry breaking leaves one embedding per match.
+	Embeddings int
 	// RenderTime covers pair-row emission, ORDER BY/LIMIT, and cell
 	// rendering.
 	RenderTime time.Duration
@@ -218,6 +222,7 @@ func (censusOp) Run(st *execState) error {
 
 	for _, res := range st.results {
 		st.table.NumMatches += res.NumMatches
+		st.table.Stats.Embeddings += res.Embeddings
 	}
 	st.table.Stats.MatchSetSize = st.table.NumMatches
 	st.table.Header = header(st.q)
@@ -262,6 +267,7 @@ func (pairCensusOp) Run(st *execState) error {
 	st.table.Algorithm = alg
 	st.table.NumMatches = res.NumMatches
 	st.table.Stats.MatchSetSize = res.NumMatches
+	st.table.Stats.Embeddings = res.Embeddings
 	st.table.Header = header(st.q)
 
 	// Emit ordered rows for each non-zero unordered pair that passes

@@ -55,6 +55,9 @@ type PairSpec struct {
 type PairResult struct {
 	Counts     map[Pair]int64
 	NumMatches int
+	// Embeddings is the global match's emitted embedding count, as in
+	// Result.
+	Embeddings int
 }
 
 // CountPairs evaluates a pairwise census. Pattern-driven algorithms
@@ -128,9 +131,11 @@ func pairAdder(res *PairResult, spec PairSpec, gd *guard) func(a, b graph.NodeID
 	}
 }
 
-// pairNDBas extracts the intersection/union induced subgraph per pair and
-// matches inside it — the reference semantics (COUNTP only; COUNTSP
-// censuses fall back to global matching plus containment checks).
+// pairNDBas matches inside the intersection/union neighborhood of each
+// pair — the reference semantics (COUNTP only; COUNTSP censuses fall back
+// to global matching plus containment checks). A masked counter counts in
+// place on g, as countNDBas does; other matchers match inside the
+// extracted induced subgraph.
 func pairNDBas(g *graph.Graph, spec PairSpec, opt Options, gd *guard) (*PairResult, error) {
 	if spec.Pairs == nil {
 		return nil, fmt.Errorf("census: ND-BAS pairwise requires an explicit pair list")
@@ -141,10 +146,7 @@ func pairNDBas(g *graph.Graph, spec PairSpec, opt Options, gd *guard) (*PairResu
 	}
 	m := opt.matcherFor(gd)
 	gd.setFocalTotal(len(spec.Pairs))
-	for _, pr := range spec.Pairs {
-		if gd.check() != nil {
-			break
-		}
+	count := func(pr Pair) int64 {
 		var sg *graph.Subgraph
 		if spec.Mode == Intersection {
 			sg = g.EgoIntersection(pr.A, pr.B, spec.K)
@@ -152,11 +154,31 @@ func pairNDBas(g *graph.Graph, spec PairSpec, opt Options, gd *guard) (*PairResu
 			sg = g.EgoUnion(pr.A, pr.B, spec.K)
 		}
 		if sg.G.NumNodes() == 0 {
-			gd.focalTick()
-			continue
+			return 0
 		}
-		emb := m.Embeddings(sg.G, spec.Pattern)
-		if c := int64(len(match.Deduplicate(spec.Pattern, emb, nil))); c > 0 {
+		return int64(match.CountDistinct(spec.Pattern, m.Embeddings(sg.G, spec.Pattern), nil))
+	}
+	if mc, ok := m.(match.MaskedCounter); ok {
+		run := mc.NewCountRun()
+		sa := graph.AcquireScratch(g.NumNodes())
+		sb := graph.AcquireScratch(g.NumNodes())
+		defer sa.Release()
+		defer sb.Release()
+		mask := new(pairMask)
+		count = func(pr Pair) int64 {
+			mask.set(g.KHop(pr.A, spec.K, sa), g.KHop(pr.B, spec.K, sb), spec.Mode == Union)
+			if len(mask.nodes) == 0 {
+				return 0
+			}
+			d, _ := run.CountWithin(g, spec.Pattern, mask, nil)
+			return int64(d)
+		}
+	}
+	for _, pr := range spec.Pairs {
+		if gd.check() != nil {
+			break
+		}
+		if c := count(pr); c > 0 {
 			if gd.chargeRows(1) != nil {
 				break
 			}
@@ -167,15 +189,46 @@ func pairNDBas(g *graph.Graph, spec PairSpec, opt Options, gd *guard) (*PairResu
 	return res, gd.failure(nil, res)
 }
 
+// pairMask is a pair's combined neighborhood, N_k(a) ∩ N_k(b) or
+// N_k(a) ∪ N_k(b), as a match.NodeSet over the parent graph — the node
+// set EgoIntersection/EgoUnion would extract.
+type pairMask struct {
+	a, b  graph.Reach
+	union bool
+	nodes []graph.NodeID
+}
+
+func (m *pairMask) set(a, b graph.Reach, union bool) {
+	m.a, m.b, m.union = a, b, union
+	m.nodes = m.nodes[:0]
+	if union {
+		m.nodes = append(m.nodes, a.Nodes...)
+	}
+	for _, n := range b.Nodes {
+		if a.Contains(n) != union {
+			m.nodes = append(m.nodes, n)
+		}
+	}
+}
+
+func (m *pairMask) Contains(n graph.NodeID) bool {
+	if m.union {
+		return m.a.Contains(n) || m.b.Contains(n)
+	}
+	return m.a.Contains(n) && m.b.Contains(n)
+}
+
+func (m *pairMask) Members() []graph.NodeID { return m.nodes }
+
 // pairNDContainment matches globally and containment-checks each anchor
 // image against the combined neighborhood of each pair.
 func pairNDContainment(g *graph.Graph, spec PairSpec, opt Options, gd *guard) (*PairResult, error) {
 	res := &PairResult{Counts: make(map[Pair]int64, len(spec.Pairs))}
-	matches, err := globalMatchesGuarded(g, spec.Spec, opt, gd)
+	matches, embs, err := globalMatchesGuarded(g, spec.Spec, opt, gd)
 	if err != nil {
 		return nil, err
 	}
-	res.NumMatches = len(matches)
+	res.NumMatches, res.Embeddings = len(matches), embs
 	anchorIdx := spec.anchorNodes()
 	gd.setFocalTotal(len(spec.Pairs))
 	sa := graph.AcquireScratch(g.NumNodes())
@@ -232,11 +285,11 @@ func pairNDPvot(g *graph.Graph, spec PairSpec, opt Options, gd *guard) (*PairRes
 		return nil, fmt.Errorf("census: ND-PVOT pairwise requires an explicit pair list")
 	}
 	res := &PairResult{Counts: make(map[Pair]int64, len(spec.Pairs))}
-	matches, err := globalMatchesGuarded(g, spec.Spec, opt, gd)
+	matches, embs, err := globalMatchesGuarded(g, spec.Spec, opt, gd)
 	if err != nil {
 		return nil, err
 	}
-	res.NumMatches = len(matches)
+	res.NumMatches, res.Embeddings = len(matches), embs
 	if len(matches) == 0 {
 		return res, nil
 	}
@@ -359,11 +412,11 @@ func pairNDPvot(g *graph.Graph, spec PairSpec, opt Options, gd *guard) (*PairRes
 // pairs are emitted per match from those shared vectors (Appendix B).
 func pairPTOpt(g *graph.Graph, spec PairSpec, opt Options, randomOrder bool, gd *guard) (*PairResult, error) {
 	res := &PairResult{Counts: make(map[Pair]int64)}
-	matches, err := globalMatchesGuarded(g, spec.Spec, opt, gd)
+	matches, embs, err := globalMatchesGuarded(g, spec.Spec, opt, gd)
 	if err != nil {
 		return nil, err
 	}
-	res.NumMatches = len(matches)
+	res.NumMatches, res.Embeddings = len(matches), embs
 	if len(matches) == 0 {
 		return res, nil
 	}
@@ -511,11 +564,11 @@ func emitUnionPairs(gd *guard, groups map[uint64][]graph.NodeID, full uint64, co
 // 2-partition scheme, counted exactly once per pair).
 func pairPTDriven(g *graph.Graph, spec PairSpec, opt Options, gd *guard) (*PairResult, error) {
 	res := &PairResult{Counts: make(map[Pair]int64)}
-	matches, err := globalMatchesGuarded(g, spec.Spec, opt, gd)
+	matches, embs, err := globalMatchesGuarded(g, spec.Spec, opt, gd)
 	if err != nil {
 		return nil, err
 	}
-	res.NumMatches = len(matches)
+	res.NumMatches, res.Embeddings = len(matches), embs
 	if len(matches) == 0 {
 		return res, nil
 	}

@@ -15,7 +15,7 @@ import (
 // neighborhood.
 func brutePairCounts(t *testing.T, g *graph.Graph, spec PairSpec, pairs []Pair) map[Pair]int64 {
 	t.Helper()
-	matches := globalMatches(g, spec.Spec, Options{})
+	matches := referenceMatches(g, spec.Spec)
 	anchorIdx := spec.anchorNodes()
 	out := make(map[Pair]int64)
 	for _, pr := range pairs {

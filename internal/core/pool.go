@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"runtime"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"sync"
 
 	"egocensus/internal/graph"
@@ -177,7 +178,7 @@ func buildSchedule(n, workers int, cost func(i int) int64) (ord []int32, chunks 
 			costs[i] = c
 			total += c
 		}
-		sort.SliceStable(ord, func(a, b int) bool { return costs[ord[a]] > costs[ord[b]] })
+		slices.SortStableFunc(ord, func(a, b int32) int { return cmp.Compare(costs[b], costs[a]) })
 	}
 	target := total / int64(workers*schedChunksPerWorker)
 	if target < 1 {
@@ -228,12 +229,11 @@ func buildScheduleAff(n, workers int, cost func(i int) int64, aff *affinity) (or
 		costs[i] = c
 		total += c
 	}
-	sort.SliceStable(ord, func(a, b int) bool {
-		sa, sb := shardOf[ord[a]], shardOf[ord[b]]
-		if sa != sb {
-			return sa < sb
+	slices.SortStableFunc(ord, func(a, b int32) int {
+		if c := cmp.Compare(shardOf[a], shardOf[b]); c != 0 {
+			return c
 		}
-		return costs[ord[a]] > costs[ord[b]]
+		return cmp.Compare(costs[b], costs[a])
 	})
 	target := total / int64(workers*schedChunksPerWorker)
 	if target < 1 {

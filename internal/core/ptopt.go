@@ -20,12 +20,12 @@ import (
 //
 //egolint:deterministic census drivers must be bit-identical across runs, algorithms, and worker counts
 func countPTDriven(g *graph.Graph, spec Spec, opt Options, randomOrder bool, gd *guard) (*Result, error) {
-	matches, err := globalMatchesGuarded(g, spec, opt, gd)
+	matches, embs, err := globalMatchesGuarded(g, spec, opt, gd)
 	if err != nil {
 		return nil, err
 	}
 	counts, err := ptCensusOnMatches(g, spec, opt, matches, randomOrder, gd)
-	res := &Result{Counts: counts, NumMatches: len(matches)}
+	res := &Result{Counts: counts, NumMatches: len(matches), Embeddings: embs}
 	if err != nil {
 		return nil, err
 	}

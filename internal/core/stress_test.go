@@ -405,3 +405,67 @@ func TestStressConcurrentColdHydration(t *testing.T) {
 		}
 	}
 }
+
+// TestStressParallelGlobalMatch checks that splitting the global match's
+// root candidates over workers changes nothing: Workers 1, 2 and 4 give
+// bit-identical match lists and embedding counts, and all six algorithms
+// give bit-identical censuses at every worker count.
+func TestStressParallelGlobalMatch(t *testing.T) {
+	und := gen.PreferentialAttachment(200, 4, 26)
+	gen.AssignLabels(und, 3, 27)
+	small := gen.PreferentialAttachment(80, 3, 29) // PT-OPT clusters squares quadratically
+	dir := stressSeedGraph(t, true, 120, 500, 28)
+	square := pattern.Square("sqr", nil)
+	if err := square.AddSubpattern("diag", []int{0, 2}); err != nil {
+		t.Fatal(err)
+	}
+	cyc := pattern.New("cyc")
+	for _, v := range []string{"A", "B", "C"} {
+		cyc.MustAddNode(v, "")
+	}
+	cyc.MustAddEdge(0, 1, true, false)
+	cyc.MustAddEdge(1, 2, true, false)
+	cyc.MustAddEdge(2, 0, true, false)
+	cases := []struct {
+		g    *graph.Graph
+		spec Spec
+	}{
+		{und, Spec{Pattern: pattern.Clique("clq3", 3, nil), K: 1}},
+		{und, Spec{Pattern: pattern.Clique("clq4", 4, nil), K: 1}},
+		{und, Spec{Pattern: pattern.Clique("lclq", 3, []string{"l0", "l1", ""}), K: 2}},
+		{small, Spec{Pattern: square, Subpattern: "diag", K: 1}},
+		{dir, Spec{Pattern: cyc, K: 1}},
+	}
+	for _, c := range cases {
+		name := c.spec.Pattern.Name
+		want, wantEmb, err := globalMatchesGuarded(c.g, c.spec, Options{Workers: 1}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref := referenceMatches(c.g, c.spec); len(ref) != len(want) || len(want) == 0 {
+			t.Fatalf("%s: %d matches, reference %d (want a non-empty instance)", name, len(want), len(ref))
+		}
+		var wantCounts []int64
+		for _, workers := range []int{1, 2, 4} {
+			opt := Options{Workers: workers, Seed: 1}
+			got, gotEmb, err := globalMatchesGuarded(c.g, c.spec, opt, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) || gotEmb != wantEmb {
+				t.Fatalf("%s: match list at %d workers differs from 1 worker", name, workers)
+			}
+			for _, alg := range Algorithms {
+				res, err := Count(c.g, c.spec, alg, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if wantCounts == nil {
+					wantCounts = res.Counts
+				} else if !reflect.DeepEqual(res.Counts, wantCounts) {
+					t.Fatalf("%s: %s at %d workers differs", name, alg, workers)
+				}
+			}
+		}
+	}
+}

@@ -2,6 +2,8 @@ package match
 
 import (
 	"bytes"
+	"math"
+	"slices"
 	"sync"
 
 	"egocensus/internal/bitset"
@@ -14,18 +16,26 @@ import (
 // neighbor sets, simultaneous pruning of both, and match extraction that
 // joins candidate neighbor sets instead of scanning candidate sets.
 //
-// The implementation runs on a reusable runner: candidate membership and
+// A run has two parts. The candidate space (steps 1–3: candidates,
+// candidate neighbor sets, pruning) is built serially and is read-only
+// afterwards. Extraction (the join) runs on extractors, each with its
+// own assignment, membership stamps and output; several extractors can
+// share one space, each taking a share of the root candidates.
+//
+// The space lives on a reusable runner: candidate membership and
 // positions live in epoch-stamped dense planes, candidate lists and
 // candidate neighbor sets are carved from grow-only per-plane arenas, and
 // pattern-derived structures (direction requirements, compiled label
-// profiles, search order, back edges) are compiled once per (graph,
-// pattern) pair and cached. Candidate-neighbor construction for
-// high-degree nodes runs on the bitset kernels: the node's cached hub
-// bitmap is ANDed against a per-pattern-node candidate bitmap, replacing
-// one membership probe per adjacency entry with one word-AND per 64
-// nodes. CN implements MaskedMatcher (enumeration restricted to a node
-// subset, in place on the parent graph) and MaskedCounter (distinct-match
-// counting with no per-call heap allocation in steady state).
+// profiles, search order, back edges, symmetry-breaking conditions) are
+// compiled once per (graph, pattern) pair and cached. Candidate-neighbor
+// construction for high-degree nodes runs on the bitset kernels: the
+// node's cached hub bitmap is ANDed against a per-pattern-node candidate
+// bitmap, replacing one membership probe per adjacency entry with one
+// word-AND per 64 nodes. CN implements MaskedMatcher (enumeration
+// restricted to a node subset, in place on the parent graph),
+// MaskedCounter (distinct-match counting with no per-call heap
+// allocation in steady state) and SetMatcher (the distinct match set,
+// one embedding per subgraph, extracted in parallel).
 type CN struct {
 	// Stop, when non-nil, is polled (epoch-counted) during candidate
 	// construction, pruning, and extraction; once it returns true the run
@@ -52,24 +62,151 @@ func (c CN) Embeddings(g *graph.Graph, p *pattern.Pattern) []pattern.Match {
 // matching directly against the parent graph. Because an induced
 // neighborhood subgraph contains exactly the parent edges between its
 // nodes, masked matching is equivalent to extracting the subgraph and
-// matching inside it — minus the extraction.
+// matching inside it — minus the extraction. The embeddings are views
+// into one shared arena.
 func (c CN) EmbeddingsWithin(g *graph.Graph, p *pattern.Pattern, within NodeSet) []pattern.Match {
-	r := runnerPool.Get().(*cnRunner)
-	r.stop = c.Stop
-	var out []pattern.Match
-	r.run(g, p, within, func(m pattern.Match) {
-		cp := make(pattern.Match, len(m))
-		copy(cp, m)
-		out = append(out, cp)
+	r := getRunner(c.Stop)
+	defer putRunner(r)
+	if !r.build(g, p, within) {
+		return nil
+	}
+	x := &r.x
+	x.reset(&r.cnSpace, nil)
+	x.collect = true
+	x.extractAll()
+	return views(x.takeOut(), p.NumNodes())
+}
+
+// Matches implements SetMatcher. Extraction enforces the pattern's
+// symmetry-breaking conditions, so it emits one embedding per orbit of
+// the automorphism group instead of every automorphic image; the key
+// deduplication runs only when that group is smaller than the group of
+// key-preserving permutations (pattern.SymmetryBreak.Distinct). With
+// more than one worker, blocks of root candidates are split over sched
+// and every worker extracts into its own arena. The result is sorted
+// lexicographically, so it is the same at any worker count.
+func (c CN) Matches(g *graph.Graph, p *pattern.Pattern, subNodes []int, sched Scheduler) ([]pattern.Match, int) {
+	r := getRunner(c.Stop)
+	defer putRunner(r)
+	if !r.build(g, p, nil) {
+		return nil, 0
+	}
+	brk := r.pc.breakFor(subNodes)
+	// Pruning left the live root candidates; only they have work.
+	root := r.pc.order[0]
+	roots := r.roots[:0]
+	for _, c := range r.cand[root] {
+		if r.live(root, c) {
+			roots = append(roots, c)
+		}
+	}
+	r.roots = roots
+	workers, forEach := sched.Workers, sched.ForEach
+	if workers <= 1 || forEach == nil {
+		workers, forEach = 1, serialForEach
+	}
+	// Contiguous blocks of roots, several per worker, keep scheduling
+	// cheap; the pool balances them by total degree. Concatenating the
+	// blocks' output in block order gives the same arena at any worker
+	// count.
+	nb := min(len(roots), workers*rootBlocksPerWorker)
+	block := func(b int) []graph.NodeID { return roots[b*len(roots)/nb : (b+1)*len(roots)/nb] }
+	cost := func(b int) int64 {
+		c := int64(0)
+		for _, n := range block(b) {
+			c += 1 + int64(g.Degree(n))
+		}
+		return c
+	}
+	xs := make([]*cnExtractor, workers)
+	spans := make([]struct{ w, start, end int }, nb)
+	forEach(nb, cost, func(w, b int) {
+		x := xs[w]
+		if x == nil {
+			x = extractorPool.Get().(*cnExtractor)
+			x.reset(&r.cnSpace, brk)
+			x.collect = true
+			xs[w] = x
+		}
+		start := len(x.out)
+		for _, c := range block(b) {
+			x.extractRoot(c)
+		}
+		spans[b].w, spans[b].start, spans[b].end = w, start, len(x.out)
 	})
-	r.stop = nil
-	runnerPool.Put(r)
-	return out
+	total, embeddings := 0, 0
+	for _, x := range xs {
+		if x != nil {
+			total += len(x.out)
+			embeddings += x.emitted
+		}
+	}
+	flat := make([]graph.NodeID, 0, total)
+	for _, sp := range spans {
+		if sp.end > sp.start {
+			flat = append(flat, xs[sp.w].out[sp.start:sp.end]...)
+		}
+	}
+	for _, x := range xs {
+		if x != nil {
+			x.sp, x.out = nil, x.out[:0]
+			extractorPool.Put(x)
+		}
+	}
+	ms := views(flat, p.NumNodes())
+	if root == 0 {
+		// Roots were extracted in ascending order, so the matches are
+		// already grouped by m[0]: sorting each group completes the order.
+		for lo := 0; lo < len(ms); {
+			hi := lo + 1
+			for hi < len(ms) && ms[hi][0] == ms[lo][0] {
+				hi++
+			}
+			slices.SortFunc(ms[lo:hi], slices.Compare[pattern.Match])
+			lo = hi
+		}
+	} else {
+		slices.SortFunc(ms, slices.Compare[pattern.Match])
+	}
+	if !brk.distinct {
+		// Key classes are unions of orbits here: keep the first (the
+		// lexicographically smallest) embedding of each.
+		r.ks.reset()
+		kept := ms[:0]
+		for _, m := range ms {
+			r.keyBuf = p.AppendKey(r.keyBuf[:0], m, subNodes)
+			if r.ks.insert(r.keyBuf) {
+				kept = append(kept, m)
+			}
+		}
+		ms = kept
+	}
+	return ms, embeddings
+}
+
+func serialForEach(n int, _ func(int) int64, body func(w, i int)) {
+	for i := 0; i < n; i++ {
+		body(0, i)
+	}
+}
+
+// views slices a flat arena of n-node embeddings into Match views. Each
+// view is capped, so appending to one never overwrites its neighbor.
+func views(flat []graph.NodeID, n int) []pattern.Match {
+	if n == 0 || len(flat) == 0 {
+		return nil
+	}
+	ms := make([]pattern.Match, len(flat)/n)
+	for i := range ms {
+		ms[i] = flat[i*n : (i+1)*n : (i+1)*n]
+	}
+	return ms
 }
 
 // NewCountRun implements MaskedCounter. The returned run owns a private
 // runner — it is reusable but not safe for concurrent use; the census
-// drivers hold one per worker.
+// drivers hold one per worker. It enforces the same symmetry-breaking
+// conditions as Matches.
 func (c CN) NewCountRun() CountRun {
 	cr := &cnCountRun{r: new(cnRunner), stop: c.Stop}
 	cr.emitFn = cr.onMatch
@@ -79,38 +216,100 @@ func (c CN) NewCountRun() CountRun {
 // cnCountRun counts distinct matches through a persistent runner and an
 // open-addressed key set over an AppendKey byte arena, replacing the
 // map[string]struct{} (and its per-key string allocations) of
-// CountDistinct on the census hot path.
+// CountDistinct on the census hot path. When the symmetry-broken
+// extraction already emits one embedding per key, the key set is
+// skipped and the count is the number of embeddings emitted.
 type cnCountRun struct {
 	r        *cnRunner
 	stop     func() bool
 	emitFn   func(pattern.Match)
 	p        *pattern.Pattern
 	subNodes []int
-	embs     int
 }
 
 func (cr *cnCountRun) onMatch(m pattern.Match) {
-	cr.embs++
 	r := cr.r
 	r.keyBuf = cr.p.AppendKey(r.keyBuf[:0], m, cr.subNodes)
 	r.ks.insert(r.keyBuf)
 }
 
-// CountWithin implements CountRun.
+// CountWithin implements CountRun. Each emitted embedding stands for the
+// |H| embeddings of its orbit, so the embedding count is exact without
+// enumerating them.
 func (cr *cnCountRun) CountWithin(g *graph.Graph, p *pattern.Pattern, within NodeSet, subNodes []int) (distinct, embeddings int) {
 	r := cr.r
 	r.stop = cr.stop
-	cr.p, cr.subNodes, cr.embs = p, subNodes, 0
-	r.ks.reset()
-	r.run(g, p, within, cr.emitFn)
-	return r.ks.count, cr.embs
+	if !r.build(g, p, within) {
+		return 0, 0
+	}
+	brk := r.pc.breakFor(subNodes)
+	x := &r.x
+	x.reset(&r.cnSpace, brk)
+	if !brk.distinct {
+		cr.p, cr.subNodes = p, subNodes
+		r.ks.reset()
+		x.emit = cr.emitFn
+	}
+	x.extractAll()
+	x.emit = nil
+	distinct = x.emitted
+	if !brk.distinct {
+		distinct = r.ks.count
+	}
+	return distinct, x.emitted * brk.group
 }
 
-var runnerPool = sync.Pool{New: func() any { return new(cnRunner) }}
+var (
+	runnerPool    = sync.Pool{New: func() any { return new(cnRunner) }}
+	extractorPool = sync.Pool{New: func() any { return new(cnExtractor) }}
+)
+
+func getRunner(stop func() bool) *cnRunner {
+	r := runnerPool.Get().(*cnRunner)
+	r.stop = stop
+	return r
+}
+
+func putRunner(r *cnRunner) {
+	r.stop = nil
+	r.x.sp, r.x.stop = nil, nil
+	runnerPool.Put(r)
+}
+
+// rootBlocksPerWorker sets how many blocks of root candidates a parallel
+// extraction offers each worker.
+const rootBlocksPerWorker = 16
 
 // cnCheckEvery is the epoch length of the cancellation poll: one stop()
 // call per this many halted() probes keeps the hot loops branch-cheap.
 const cnCheckEvery = 4096
+
+// stopper is the epoch-counted cancellation poll of one goroutine's share
+// of a run.
+type stopper struct {
+	stop  func() bool
+	ticks uint32
+	halt  bool
+}
+
+// halted reports whether the run must wind down, polling stop once per
+// epoch and latching the result so subsequent probes are a field read.
+func (s *stopper) halted() bool {
+	if s.halt {
+		return true
+	}
+	if s.stop == nil {
+		return false
+	}
+	s.ticks++
+	if s.ticks%cnCheckEvery != 0 {
+		return false
+	}
+	if s.stop() {
+		s.halt = true
+	}
+	return s.halt
+}
 
 // backEdge points from a pattern node in the search order back to an
 // already-assigned positive neighbor u; j is the index of the current
@@ -160,7 +359,44 @@ type compiledPattern struct {
 	profiles   []compiledProfile
 	deg        []int32 // len(PositiveNeighbors(v))
 	order      []int
+	level      []int // level[v] = position of v in order
 	earlier    [][]backEdge
+	breaks     []*compiledBreak // per subpattern identity, small MRU list
+}
+
+// compiledBreak is a pattern.SymmetryBreak laid out per search-order
+// level: lower[i] lists the earlier pattern nodes whose image must be
+// smaller than the image chosen at level i.
+type compiledBreak struct {
+	sub      []int
+	lower    [][]int32
+	group    int
+	distinct bool
+}
+
+// breakFor returns the compiled symmetry-breaking conditions for the
+// match identity subNodes (nil for COUNTP), deriving them on first use.
+func (pc *compiledPattern) breakFor(subNodes []int) *compiledBreak {
+	for _, b := range pc.breaks {
+		if slices.Equal(b.sub, subNodes) {
+			return b
+		}
+	}
+	sb := pc.p.BreakSymmetry(subNodes, pc.order)
+	b := &compiledBreak{
+		sub:   append([]int(nil), subNodes...),
+		lower: make([][]int32, len(pc.order)),
+		group: sb.Group, distinct: sb.Distinct,
+	}
+	for _, c := range sb.Less { // c[0] precedes c[1] in the order
+		i := pc.level[c[1]]
+		b.lower[i] = append(b.lower[i], int32(c[0]))
+	}
+	if len(pc.breaks) >= 4 {
+		pc.breaks = pc.breaks[1:]
+	}
+	pc.breaks = append(pc.breaks, b)
+	return b
 }
 
 func compilePattern(g *graph.Graph, p *pattern.Pattern) *compiledPattern {
@@ -206,15 +442,15 @@ func compilePattern(g *graph.Graph, p *pattern.Pattern) *compiledPattern {
 		pc.deg[v] = int32(len(p.PositiveNeighbors(v)))
 	}
 	pc.order = p.SearchOrder()
-	posInOrder := make([]int, n)
+	pc.level = make([]int, n)
 	for i, v := range pc.order {
-		posInOrder[v] = i
+		pc.level[v] = i
 	}
 	pc.earlier = make([][]backEdge, n)
 	for i := 1; i < n; i++ {
 		v := pc.order[i]
 		for _, u := range p.PositiveNeighbors(v) {
-			if posInOrder[u] >= i {
+			if pc.level[u] >= i {
 				continue
 			}
 			for j, w := range p.PositiveNeighbors(u) {
@@ -228,14 +464,25 @@ func compilePattern(g *graph.Graph, p *pattern.Pattern) *compiledPattern {
 	return pc
 }
 
-// cnRunner is the reusable working state of CN matching runs. All buffers
-// are grow-only: after the first run over a given graph/pattern size the
-// steady state allocates nothing. A runner serves one goroutine at a
-// time.
+// cnRunner is the reusable working state of serial CN matching runs: a
+// candidate space, one extractor over it, and the distinct-key set. All
+// buffers are grow-only: after the first run over a given graph/pattern
+// size the steady state allocates nothing. A runner serves one goroutine
+// at a time.
 type cnRunner struct {
-	stop  func() bool
-	ticks uint32
-	halt  bool
+	cnSpace
+	x cnExtractor
+
+	roots  []graph.NodeID // live root candidates of a parallel extraction
+	keyBuf []byte
+	ks     keyset
+}
+
+// cnSpace is the candidate space of one run: steps 1–3 of Algorithm 1.
+// It is written only while it is built and read concurrently by any
+// number of extractors afterwards.
+type cnSpace struct {
+	stopper
 
 	g  *graph.Graph
 	p  *pattern.Pattern
@@ -260,50 +507,24 @@ type cnRunner struct {
 	cnSets   [][][]graph.NodeID // cnSets[v][ci*deg+j] = CN(n, v, v_j)
 	candBits [][]uint64         // per-plane candidate bitmaps (hub kernel)
 	bitsUsed []bool             // which candBits planes are live this run
-
-	assignment pattern.Match
-	used       []graph.NodeID
-	emit       func(pattern.Match)
-
-	keyBuf []byte
-	ks     keyset
 }
 
-// halted reports whether the run must wind down, polling stop once per
-// epoch and latching the result so subsequent probes are a field read.
-func (r *cnRunner) halted() bool {
-	if r.halt {
-		return true
-	}
-	if r.stop == nil {
-		return false
-	}
-	r.ticks++
-	if r.ticks%cnCheckEvery != 0 {
-		return false
-	}
-	if r.stop() {
-		r.halt = true
-	}
-	return r.halt
-}
-
-func (r *cnRunner) live(v int, n graph.NodeID) bool {
+func (r *cnSpace) live(v int, n graph.NodeID) bool {
 	return r.member[v*r.n+int(n)] == r.epoch
 }
 
-func (r *cnRunner) kill(v int, n graph.NodeID) {
+func (r *cnSpace) kill(v int, n graph.NodeID) {
 	r.member[v*r.n+int(n)] = 0
 }
 
-func (r *cnRunner) posOf(v int, n graph.NodeID) int32 {
+func (r *cnSpace) posOf(v int, n graph.NodeID) int32 {
 	return r.pos[v*r.n+int(n)]
 }
 
 // compiled returns the cached compiled form of (g, p), compiling on first
 // sight. The cache is a small MRU list: a census touches a handful of
 // patterns against one graph.
-func (r *cnRunner) compiled(g *graph.Graph, p *pattern.Pattern) *compiledPattern {
+func (r *cnSpace) compiled(g *graph.Graph, p *pattern.Pattern) *compiledPattern {
 	ls := g.Labels().Size()
 	for _, pc := range r.pats {
 		if pc.g == g && pc.p == p && pc.labelsSize == ls {
@@ -321,10 +542,10 @@ func (r *cnRunner) compiled(g *graph.Graph, p *pattern.Pattern) *compiledPattern
 
 // begin sizes the planes and per-plane buffers for a run and opens a new
 // epoch.
-func (r *cnRunner) begin(g *graph.Graph, p *pattern.Pattern, pc *compiledPattern) {
+func (r *cnSpace) begin(g *graph.Graph, p *pattern.Pattern, pc *compiledPattern) {
 	r.g, r.p, r.pc = g, p, pc
 	r.n = g.NumNodes()
-	r.halt = false
+	r.ticks, r.halt = 0, false
 	planes := p.NumNodes()
 	if need := planes * r.n; len(r.member) < need {
 		r.member = make([]int32, need)
@@ -354,37 +575,28 @@ func (r *cnRunner) begin(g *graph.Graph, p *pattern.Pattern, pc *compiledPattern
 		r.cand[v] = r.cand[v][:0]
 		r.bitsUsed[v] = false
 	}
-	if cap(r.assignment) < planes {
-		r.assignment = make(pattern.Match, planes)
-	}
-	r.assignment = r.assignment[:planes]
-	r.used = r.used[:0]
 }
 
-// run executes one full matching run, calling emit for every embedding
-// that passes EvalAll. The emitted Match is the runner's reused
-// assignment buffer — callers must copy if they retain it.
-func (r *cnRunner) run(g *graph.Graph, p *pattern.Pattern, within NodeSet, emit func(pattern.Match)) {
+// build constructs the candidate space of p in g restricted to within
+// (nil means the whole graph): candidates, candidate neighbor sets, and
+// pruning to fixpoint. It reports false for an empty pattern, which has
+// nothing to extract.
+func (r *cnSpace) build(g *graph.Graph, p *pattern.Pattern, within NodeSet) bool {
 	if p == nil || p.NumNodes() == 0 {
-		return
+		return false
 	}
-	pc := r.compiled(g, p)
-	r.begin(g, p, pc)
-	r.emit = emit
-	defer func() {
-		r.emit = nil
-		r.cleanupBits()
-	}()
+	r.begin(g, p, r.compiled(g, p))
+	defer r.cleanupBits()
 	r.enumerate(within)
 	r.initCandidateNeighbors()
 	r.prune()
-	r.extract()
+	return true
 }
 
 // enumerate performs step 1 of Algorithm 1 with compiled profiles:
 // candidates come from within's members (or the whole node range) and
 // membership/position planes are stamped.
-func (r *cnRunner) enumerate(within NodeSet) {
+func (r *cnSpace) enumerate(within NodeSet) {
 	g := r.g
 	planes := r.p.NumNodes()
 	var members []graph.NodeID
@@ -429,7 +641,7 @@ func (r *cnRunner) enumerate(within NodeSet) {
 // candBitsFor returns plane u's candidate bitmap, building it on first
 // use in this run. Planes are kept all-zero between runs (cleanupBits),
 // so building is pure bit-setting over the candidate list.
-func (r *cnRunner) candBitsFor(u int) []uint64 {
+func (r *cnSpace) candBitsFor(u int) []uint64 {
 	cb := r.candBits[u]
 	if w := bitset.Words(r.n); len(cb) < w {
 		cb = make([]uint64, w)
@@ -446,7 +658,7 @@ func (r *cnRunner) candBitsFor(u int) []uint64 {
 
 // cleanupBits restores the all-zero invariant of candidate bitmaps by
 // clearing exactly the bits this run set.
-func (r *cnRunner) cleanupBits() {
+func (r *cnSpace) cleanupBits() {
 	for u := range r.bitsUsed {
 		if !r.bitsUsed[u] {
 			continue
@@ -464,7 +676,7 @@ func (r *cnRunner) cleanupBits() {
 // adjacency representation), or the deduplicated out∪in union for directed
 // graphs, built in the scratch buffer. Must be consumed before the next
 // candNeighbors call.
-func (r *cnRunner) candNeighbors(n graph.NodeID) []graph.NodeID {
+func (r *cnSpace) candNeighbors(n graph.NodeID) []graph.NodeID {
 	if !r.g.Directed() {
 		return r.g.OutNeighbors(n)
 	}
@@ -489,7 +701,7 @@ func (r *cnRunner) candNeighbors(n graph.NodeID) []graph.NodeID {
 
 // markDirections stamps n's out- and in-neighbor sets so edge-direction
 // requirements test in O(1).
-func (r *cnRunner) markDirections(n graph.NodeID) {
+func (r *cnSpace) markDirections(n graph.NodeID) {
 	r.dirEp++
 	for _, nb := range r.g.OutNeighbors(n) {
 		r.outDir[nb] = r.dirEp
@@ -503,7 +715,7 @@ func (r *cnRunner) markDirections(n graph.NodeID) {
 
 // reqOK tests requirement req for neighbor nb of the currently marked
 // candidate.
-func (r *cnRunner) reqOK(req edgeReq, nb graph.NodeID) bool {
+func (r *cnSpace) reqOK(req edgeReq, nb graph.NodeID) bool {
 	hasOut := r.outDir[nb] == r.dirEp
 	hasIn := hasOut
 	if r.g.Directed() {
@@ -529,7 +741,7 @@ func (r *cnRunner) reqOK(req edgeReq, nb graph.NodeID) bool {
 // adjacency list with epoch-stamped membership probes. The hub kernel
 // collapses parallel edges into one entry; the census deduplicates
 // matches by subgraph key, so counts are unaffected.
-func (r *cnRunner) initCandidateNeighbors() {
+func (r *cnSpace) initCandidateNeighbors() {
 	g, p := r.g, r.p
 	planes := p.NumNodes()
 	hubRows := g.HubRows() // nil for directed graphs
@@ -634,7 +846,7 @@ func (r *cnRunner) initCandidateNeighbors() {
 // die when rule 1 killed a candidate, so the (common) round where rule 1
 // finds nothing is already the fixpoint and skips the rule-2 sweep — the
 // sweep touches every CN entry and dominates the cost of pruning.
-func (r *cnRunner) prune() {
+func (r *cnSpace) prune() {
 	p := r.p
 	for !r.halted() {
 		// Rule 1: every candidate needs a non-empty CN set per pattern
@@ -695,96 +907,208 @@ func (r *cnRunner) prune() {
 	}
 }
 
-// cnSet returns CN(assignment[u], u, u's j-th pattern neighbor).
-func (r *cnRunner) cnSet(b backEdge) []graph.NodeID {
+// cnSet returns CN(asg[u], u, u's j-th pattern neighbor).
+func (r *cnSpace) cnSet(asg pattern.Match, b backEdge) []graph.NodeID {
 	u := int(b.u)
-	img := r.assignment[u]
 	deg := int(r.pc.deg[u])
-	return r.cnSets[u][int(r.posOf(u, img))*deg+int(b.j)]
+	return r.cnSets[u][int(r.posOf(u, asg[u]))*deg+int(b.j)]
 }
 
-func (r *cnRunner) isUsed(c graph.NodeID) bool {
-	for _, x := range r.used {
-		if x == c {
-			return true
-		}
-	}
-	return false
+// cnExtractor is one goroutine's share of match extraction over a built
+// space: Algorithm 1 lines 14-21 as a backtracking search over the
+// connected-prefix order, where the possible images of the next pattern
+// node are the intersection of the candidate neighbor sets of its
+// already-assigned neighbors.
+type cnExtractor struct {
+	stopper
+	sp  *cnSpace       // read-only while extracting
+	brk *compiledBreak // nil: emit every automorphic image
+
+	assignment pattern.Match
+	// levels[i] holds the images level i may still try. It is filled
+	// before recursing, because deeper levels re-stamp the plane.
+	levels [][]graph.NodeID
+	sets   [][]graph.NodeID // one level's back-edge CN sets (scratch)
+	// stamp is a membership plane over graph nodes; a level claims fresh
+	// epochs from stampEp, so it never needs clearing between levels.
+	stamp   []int32
+	stampEp int32
+
+	emit    func(pattern.Match) // called per embedding, when non-nil
+	collect bool                // append each embedding to out
+	out     []graph.NodeID
+	emitted int
 }
 
-// extract performs the forward join of Algorithm 1 lines 14-21 as a
-// backtracking search over the connected-prefix order: the possible images
-// of the next pattern node are the intersection of the candidate neighbor
-// sets of the already-assigned neighbors.
-func (r *cnRunner) extract() { r.extractStep(0) }
+// reset points x at a built space and clears its per-run state.
+func (x *cnExtractor) reset(sp *cnSpace, brk *compiledBreak) {
+	x.sp, x.brk = sp, brk
+	x.stop, x.ticks, x.halt = sp.stop, 0, sp.halt
+	planes := sp.p.NumNodes()
+	if cap(x.assignment) < planes {
+		x.assignment = make(pattern.Match, planes)
+	}
+	x.assignment = x.assignment[:planes]
+	for len(x.levels) < planes {
+		x.levels = append(x.levels, nil)
+	}
+	if len(x.stamp) < sp.n {
+		x.stamp = make([]int32, sp.n)
+		x.stampEp = 0
+	}
+	x.emit, x.collect, x.out, x.emitted = nil, false, x.out[:0], 0
+}
 
-func (r *cnRunner) extractStep(i int) {
-	if r.halted() {
-		return
+// takeOut hands the collected arena to the caller.
+func (x *cnExtractor) takeOut() []graph.NodeID {
+	out := x.out
+	x.out = nil
+	return out
+}
+
+// epochs claims k consecutive fresh stamp epochs and returns the first.
+// On int32 wraparound the plane is cleared and numbering restarts at 1,
+// so a claimed epoch never matches a stale stamp.
+func (x *cnExtractor) epochs(k int32) int32 {
+	if x.stampEp > math.MaxInt32-k {
+		clear(x.stamp)
+		x.stampEp = 0
 	}
-	p, pc := r.p, r.pc
-	n := p.NumNodes()
-	if i == n {
-		if p.EvalAll(r.g, r.assignment) {
-			r.emit(r.assignment)
+	first := x.stampEp + 1
+	x.stampEp += k
+	return first
+}
+
+// extractAll extracts from every root candidate.
+func (x *cnExtractor) extractAll() {
+	for _, c := range x.sp.cand[x.sp.pc.order[0]] {
+		if x.halted() {
+			return
 		}
+		x.extractRoot(c)
+	}
+}
+
+// extractRoot extracts every embedding whose first node in the search
+// order maps to root.
+func (x *cnExtractor) extractRoot(root graph.NodeID) {
+	v := x.sp.pc.order[0]
+	if !x.sp.live(v, root) {
 		return
 	}
-	v := pc.order[i]
-	if i == 0 {
-		for _, cand := range r.cand[v] {
-			if !r.live(v, cand) {
-				continue
+	x.assignment[v] = root
+	x.extractStep(1)
+}
+
+func (x *cnExtractor) extractStep(i int) {
+	if x.halted() {
+		return
+	}
+	sp := x.sp
+	order := sp.pc.order
+	if i == len(order) {
+		if sp.p.EvalAll(sp.g, x.assignment) {
+			x.emitted++
+			if x.emit != nil {
+				x.emit(x.assignment)
 			}
-			r.assignment[v] = cand
-			r.used = append(r.used, cand)
-			r.extractStep(1)
-			r.used = r.used[:len(r.used)-1]
+			if x.collect {
+				x.out = append(x.out, x.assignment...)
+			}
 		}
 		return
 	}
-	// Intersect the candidate neighbor sets of all earlier neighbors,
-	// seeding from the smallest set.
-	be := pc.earlier[i]
-	smallest := -1
-	size := int(^uint(0) >> 1)
-	for idx := range be {
-		if set := r.cnSet(be[idx]); len(set) < size {
-			size = len(set)
+	v := order[i]
+	for _, c := range x.filter(i) {
+		x.assignment[v] = c
+		x.extractStep(i + 1)
+	}
+}
+
+// filter fills levels[i] with the images level i may take: the members
+// of the smallest back-edge CN set that lie in every other one, are not
+// already assigned, satisfy the level's symmetry-breaking conditions
+// (a lower bound), and appear once (parallel edges repeat CN entries).
+// One pass stamps the other sets into the plane; one pass filters the
+// seed set. Entries below the bound are never stamped.
+func (x *cnExtractor) filter(i int) []graph.NodeID {
+	sp := x.sp
+	be := sp.pc.earlier[i]
+	out := x.levels[i][:0]
+	if len(be) == 0 {
+		return out // disconnected order; Validate prevents this
+	}
+	sets := x.sets[:0]
+	smallest := 0
+	for idx, b := range be {
+		sets = append(sets, sp.cnSet(x.assignment, b))
+		if len(sets[idx]) < len(sets[smallest]) {
 			smallest = idx
 		}
 	}
-	if smallest < 0 {
-		return // disconnected order; Validate prevents this
+	x.sets = sets
+	seed := sets[smallest]
+	lo := graph.NodeID(-1)
+	if x.brk != nil {
+		for _, a := range x.brk.lower[i] {
+			lo = max(lo, x.assignment[a])
+		}
 	}
-	seed := r.cnSet(be[smallest])
-cands:
-	for _, cand := range seed {
-		if r.isUsed(cand) {
+	stamp := x.stamp
+	used := sp.pc.order[:i]
+	if len(sets) == 1 {
+		// Nothing to intersect: stamp the assigned images and keep the
+		// unstamped seed members, stamping each as it is taken.
+		ep := x.epochs(1)
+		for _, u := range used {
+			stamp[x.assignment[u]] = ep
+		}
+		for _, c := range seed {
+			if c > lo && stamp[c] != ep {
+				stamp[c] = ep
+				out = append(out, c)
+			}
+		}
+		x.levels[i] = out
+		return out
+	}
+	// The first other set stamps cur; each further set promotes the
+	// members stamped cur to cur+1. Seed members carrying the last epoch
+	// lie in every other set; assigned images and taken members drop to 0,
+	// which no epoch ever equals.
+	cur := x.epochs(int32(len(sets) - 1))
+	first := true
+	for idx, set := range sets {
+		if idx == smallest {
 			continue
 		}
-		for idx := range be {
-			if idx == smallest {
-				continue
+		if first {
+			for _, c := range set {
+				if c > lo {
+					stamp[c] = cur
+				}
 			}
-			if !contains(r.cnSet(be[idx]), cand) {
-				continue cands
+			first = false
+			continue
+		}
+		for _, c := range set {
+			if c > lo && stamp[c] == cur {
+				stamp[c] = cur + 1
 			}
 		}
-		r.assignment[v] = cand
-		r.used = append(r.used, cand)
-		r.extractStep(i + 1)
-		r.used = r.used[:len(r.used)-1]
+		cur++
 	}
-}
-
-func contains(list []graph.NodeID, n graph.NodeID) bool {
-	for _, x := range list {
-		if x == n {
-			return true
+	for _, u := range used {
+		stamp[x.assignment[u]] = 0
+	}
+	for _, c := range seed {
+		if c > lo && stamp[c] == cur {
+			stamp[c] = 0
+			out = append(out, c)
 		}
 	}
-	return false
+	x.levels[i] = out
+	return out
 }
 
 // keyset is an epoch-stamped open-addressing set of byte keys backed by a

@@ -4,13 +4,14 @@
 // used as the paper's baseline, and a brute-force reference matcher used to
 // cross-validate both in tests.
 //
-// Matchers enumerate embeddings (variable assignments). The census layer
-// deduplicates automorphic embeddings of the same subgraph with
-// Deduplicate.
+// Matchers enumerate embeddings (variable assignments). A SetMatcher (CN)
+// returns the distinct matches directly, emitting one embedding per
+// subgraph; for other matchers the census layer deduplicates automorphic
+// embeddings of the same subgraph with Deduplicate.
 package match
 
 import (
-	"sort"
+	"slices"
 
 	"egocensus/internal/graph"
 	"egocensus/internal/pattern"
@@ -74,6 +75,29 @@ type CountRun interface {
 	CountWithin(g *graph.Graph, p *pattern.Pattern, within NodeSet, subNodes []int) (distinct, embeddings int)
 }
 
+// SetMatcher is a Matcher that returns the paper's match set M directly
+// instead of every automorphic embedding.
+type SetMatcher interface {
+	Matcher
+	// Matches returns the distinct matches of p in g under Deduplicate's
+	// identity (subNodes participates for COUNTSP semantics), in
+	// Deduplicate's lexicographic order, plus the number of embeddings
+	// the search emitted before any deduplication. The result equals
+	// Deduplicate(p, Embeddings(g, p), subNodes) as a set and does not
+	// depend on sched.Workers.
+	Matches(g *graph.Graph, p *pattern.Pattern, subNodes []int, sched Scheduler) (matches []pattern.Match, embeddings int)
+}
+
+// Scheduler lends a SetMatcher the caller's worker pool.
+type Scheduler struct {
+	// Workers bounds the parallelism; zero or one runs serially.
+	Workers int
+	// ForEach runs body(w, i) for every i in [0, n), with w < Workers
+	// naming the goroutine that runs item i, and returns when all items
+	// are done. cost(i) estimates the work of item i. Nil runs serially.
+	ForEach func(n int, cost func(i int) int64, body func(w, i int))
+}
+
 // Stoppable is a Matcher whose enumeration can be interrupted from the
 // outside. The census layer injects a cancellation poll so that a context
 // cancel or resource limit reaches into long match enumerations instead of
@@ -104,7 +128,7 @@ func Deduplicate(p *pattern.Pattern, embeddings []pattern.Match, subNodes []int)
 		seen[string(key)] = struct{}{}
 		out = append(out, m)
 	}
-	sort.Slice(out, func(i, j int) bool { return lessMatch(out[i], out[j]) })
+	slices.SortFunc(out, slices.Compare[pattern.Match])
 	return out
 }
 
@@ -126,18 +150,13 @@ func CountDistinct(p *pattern.Pattern, embeddings []pattern.Match, subNodes []in
 	return len(seen)
 }
 
-func lessMatch(a, b pattern.Match) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
-}
-
-// FindMatches runs matcher m and deduplicates the embeddings, yielding the
-// paper's set of matches M.
+// FindMatches returns the paper's set of matches M: directly from a
+// SetMatcher, otherwise by deduplicating m's embeddings.
 func FindMatches(m Matcher, g *graph.Graph, p *pattern.Pattern) []pattern.Match {
+	if sm, ok := m.(SetMatcher); ok {
+		ms, _ := sm.Matches(g, p, nil, Scheduler{})
+		return ms
+	}
 	return Deduplicate(p, m.Embeddings(g, p), nil)
 }
 

@@ -210,79 +210,10 @@ func EstimateMatches(p *pattern.Pattern, sub string, s *graph.Stats) (matches, h
 	if sub != "" {
 		fixed, _ = p.Subpattern(sub)
 	}
-	autos = Automorphisms(p, fixed)
+	if autos = len(pattern.Automorphisms(p, fixed, pattern.Structural)); autos < 1 {
+		autos = 1 // group not computed: a conservative over-estimate of |M|
+	}
 	return homs / float64(autos), homs, autos
-}
-
-// Automorphisms counts the permutations of pattern nodes that preserve
-// labels and the full edge structure (positive and negated, with
-// orientation) while fixing every node in fixed pointwise. Patterns are
-// tiny, so plain enumeration suffices; above 8 nodes the count degrades
-// to 1 (a conservative over-estimate of |M|).
-func Automorphisms(p *pattern.Pattern, fixed []int) int {
-	n := p.NumNodes()
-	if n == 0 || n > 8 {
-		return 1
-	}
-	edges := map[[3]int]bool{}
-	for _, e := range p.Edges() {
-		edges[edgeKey(e.From, e.To, e.Directed, e.Negated)] = true
-	}
-	isFixed := make([]bool, n)
-	for _, i := range fixed {
-		isFixed[i] = true
-	}
-	perm := make([]int, n)
-	used := make([]bool, n)
-	count := 0
-	var rec func(i int)
-	rec = func(i int) {
-		if i == n {
-			for _, e := range p.Edges() {
-				if !edges[edgeKey(perm[e.From], perm[e.To], e.Directed, e.Negated)] {
-					return
-				}
-			}
-			count++
-			return
-		}
-		if isFixed[i] {
-			if used[i] {
-				return
-			}
-			perm[i], used[i] = i, true
-			rec(i + 1)
-			used[i] = false
-			return
-		}
-		for j := 0; j < n; j++ {
-			if used[j] || isFixed[j] && j != i || p.Node(j).Label != p.Node(i).Label {
-				continue
-			}
-			perm[i], used[j] = j, true
-			rec(i + 1)
-			used[j] = false
-		}
-	}
-	rec(0)
-	if count < 1 {
-		return 1
-	}
-	return count
-}
-
-func edgeKey(from, to int, directed, negated bool) [3]int {
-	kind := 0
-	if directed {
-		kind = 1
-	}
-	if negated {
-		kind += 2
-	}
-	if !directed && from > to {
-		from, to = to, from
-	}
-	return [3]int{from, to, kind}
 }
 
 // PredicateSelectivity estimates the fraction of candidate matches a

@@ -103,11 +103,11 @@ func TestAutomorphisms(t *testing.T) {
 	triangle.MustAddEdge(0, 1, false, false)
 	triangle.MustAddEdge(1, 2, false, false)
 	triangle.MustAddEdge(0, 2, false, false)
-	if got := Automorphisms(triangle, nil); got != 6 {
+	if got := len(pattern.Automorphisms(triangle, nil, pattern.Structural)); got != 6 {
 		t.Fatalf("triangle autos = %d want 6", got)
 	}
 	// Fixing one node pointwise leaves the swap of the other two.
-	if got := Automorphisms(triangle, []int{0}); got != 2 {
+	if got := len(pattern.Automorphisms(triangle, []int{0}, pattern.Structural)); got != 2 {
 		t.Fatalf("anchored triangle autos = %d want 2", got)
 	}
 
@@ -117,7 +117,7 @@ func TestAutomorphisms(t *testing.T) {
 	}
 	path.MustAddEdge(0, 1, false, false)
 	path.MustAddEdge(1, 2, false, false)
-	if got := Automorphisms(path, nil); got != 2 {
+	if got := len(pattern.Automorphisms(path, nil, pattern.Structural)); got != 2 {
 		t.Fatalf("path autos = %d want 2 (end swap)", got)
 	}
 
@@ -126,7 +126,7 @@ func TestAutomorphisms(t *testing.T) {
 	lpath.MustAddNode("A", "x")
 	lpath.MustAddNode("B", "")
 	lpath.MustAddEdge(0, 1, false, false)
-	if got := Automorphisms(lpath, nil); got != 1 {
+	if got := len(pattern.Automorphisms(lpath, nil, pattern.Structural)); got != 1 {
 		t.Fatalf("labeled edge autos = %d want 1", got)
 	}
 
@@ -138,7 +138,7 @@ func TestAutomorphisms(t *testing.T) {
 	cyc.MustAddEdge(0, 1, true, false)
 	cyc.MustAddEdge(1, 2, true, false)
 	cyc.MustAddEdge(2, 0, true, false)
-	if got := Automorphisms(cyc, nil); got != 3 {
+	if got := len(pattern.Automorphisms(cyc, nil, pattern.Structural)); got != 3 {
 		t.Fatalf("directed cycle autos = %d want 3", got)
 	}
 }
