@@ -575,18 +575,22 @@ func explainTable(q *lang.SelectStmt, phys *plan.Physical, base ExecStats) *Tabl
 	return t
 }
 
-// rndStream returns a deterministic RND() source for a focal node or pair:
-// the value depends only on the seed and the focal identity, not on
-// evaluation order.
-func rndStream(seed, a, b int64) func() float64 {
-	state := uint64(seed)*0x9E3779B97F4A7C15 ^ uint64(a+1)*0xBF58476D1CE4E5B9 ^ uint64(b+1)*0x94D049BB133111EB
-	return func() float64 {
-		// splitmix64 step
-		state += 0x9E3779B97F4A7C15
-		z := state
-		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-		z ^= z >> 31
-		return float64(z>>11) / float64(1<<53)
-	}
+// rndStream is a deterministic RND() source for a focal node or pair:
+// reset seeds it from the execution seed and the focal identity, so the
+// values depend on neither evaluation order nor earlier bindings, and one
+// stream serves a whole execution without allocating per binding.
+type rndStream struct{ state uint64 }
+
+func (r *rndStream) reset(seed, a, b int64) {
+	r.state = uint64(seed)*0x9E3779B97F4A7C15 ^ uint64(a+1)*0xBF58476D1CE4E5B9 ^ uint64(b+1)*0x94D049BB133111EB
+}
+
+// next is one splitmix64 step.
+func (r *rndStream) next() float64 {
+	r.state += 0x9E3779B97F4A7C15
+	z := r.state
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	z ^= z >> 31
+	return float64(z>>11) / float64(1<<53)
 }

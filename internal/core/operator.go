@@ -80,6 +80,12 @@ type execState struct {
 	pairSpec *PairSpec
 	results  []*Result
 	table    *Table
+
+	// bindings, rnd and rndNext are passes' per-binding scratch, reused
+	// across the nodes and pairs one execution tests.
+	bindings [2]lang.Binding
+	rnd      rndStream
+	rndNext  func() float64
 }
 
 // compile lowers an optimized plan to its operator pipeline.
@@ -97,7 +103,7 @@ func (st *execState) passes(nodes ...graph.NodeID) (bool, error) {
 	if st.q.Where == nil {
 		return true, nil
 	}
-	bindings := make([]lang.Binding, len(nodes))
+	bindings := st.bindings[:len(nodes)]
 	for i, n := range nodes {
 		bindings[i] = lang.Binding{Alias: st.q.Aliases[i], Node: n}
 	}
@@ -105,7 +111,11 @@ func (st *execState) passes(nodes ...graph.NodeID) (bool, error) {
 	if len(nodes) > 1 {
 		b = int64(nodes[1])
 	}
-	return lang.EvalWhereParams(st.q.Where, st.g, bindings, rndStream(st.seed, a, b), st.params)
+	st.rnd.reset(st.seed, a, b)
+	if st.rndNext == nil {
+		st.rndNext = st.rnd.next
+	}
+	return lang.EvalWhereParams(st.q.Where, st.g, bindings, st.rndNext, st.params)
 }
 
 // focalSelectOp resolves the WHERE clause to the focal node set (or, for
@@ -185,8 +195,9 @@ func (focalSelectOp) Run(st *execState) error {
 	return nil
 }
 
-// censusOp runs the single-node census drivers chosen by the optimizer
-// and materializes the typed result rows.
+// censusOp runs the single-node census drivers and materializes the
+// typed result rows. The drivers are chosen by the plan re-priced at the
+// focal count focalSelectOp observed, not at the optimizer's estimate.
 type censusOp struct{}
 
 // Name implements Operator.
@@ -195,8 +206,9 @@ func (censusOp) Name() string { return "census" }
 // Run implements Operator.
 func (censusOp) Run(st *execState) error {
 	start := time.Now()
+	algs, batched := st.phys.Reprice(st.table.Stats.FocalCount)
 	switch {
-	case st.phys.Batched:
+	case batched:
 		// Multiple aggregates sharing one BFS per focal node.
 		st.table.Algorithm = NDPvot
 		results, err := countManyGuarded(st.g, st.specs, st.opt, st.gd)
@@ -205,12 +217,12 @@ func (censusOp) Run(st *execState) error {
 		}
 		st.results = results
 	default:
-		st.table.Algorithm = Algorithm(st.phys.Algorithm(0))
+		st.table.Algorithm = Algorithm(algs[0])
 		for i, spec := range st.specs {
 			if err := spec.Validate(st.g); err != nil {
 				return err
 			}
-			res, err := countGuarded(st.g, spec, Algorithm(st.phys.Algorithm(i)), st.opt, st.gd)
+			res, err := countGuarded(st.g, spec, Algorithm(algs[i]), st.opt, st.gd)
 			if err != nil {
 				return err
 			}

@@ -21,6 +21,10 @@ func TestForcedAlgorithmParity(t *testing.T) {
 SELECT ID, COUNTP(tri, SUBGRAPH(ID, 2)) FROM nodes ORDER BY COUNT DESC LIMIT 10`,
 		`PATTERN lw { ?A-?B; ?B-?C; [?A.LABEL='l0']; SUBPATTERN mid {?B;} }
 SELECT ID, COUNTSP(mid, lw, SUBGRAPH(ID, 1)) FROM nodes WHERE LABEL = 'l1'`,
+		// Two focal nodes where the planner estimates 40: a forced
+		// algorithm is never re-priced at the observed count.
+		`PATTERN tri { ?A-?B; ?B-?C; ?A-?C; }
+SELECT ID, COUNTP(tri, SUBGRAPH(ID, 2)) FROM nodes WHERE ID < 2`,
 	}
 	for _, src := range queries {
 		var want *Table

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -467,5 +468,94 @@ func TestStressParallelGlobalMatch(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestStressRepricedSharedPlan runs one prepared statement concurrently
+// with bindings that select 2 nodes and every node. All executions share
+// one cached plan; each must run the driver the plan re-prices at its
+// own observed focal count, answer exactly like forced ND-BAS, and leave
+// the shared plan as it found it.
+func TestStressRepricedSharedPlan(t *testing.T) {
+	const rounds = 6
+	g := gen.PreferentialAttachment(300, 5, 3)
+	for n := 0; n < g.NumNodes(); n++ {
+		g.SetNodeAttr(graph.NodeID(n), "grp", "all")
+	}
+	g.SetNodeAttr(0, "tier", "two")
+	g.SetNodeAttr(1, "tier", "two")
+	e := NewEngine(g)
+	e.Opt.Workers = 2
+	stmt, err := e.Prepare(`PATTERN tri { ?A-?B; ?B-?C; ?A-?C; }
+SELECT ID, COUNTP(tri, SUBGRAPH(ID, 1)) FROM nodes WHERE tier = $b OR grp = $b`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := stmt.Execute(map[string]string{"b": "two"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	phys := warm.Plan
+	explain := phys.Explain()
+	choices := fmt.Sprintf("%+v batched=%v", phys.Choices, phys.Batched)
+
+	type binding struct {
+		b     string
+		alg   Algorithm
+		count map[graph.NodeID]int64
+	}
+	var bindings []binding
+	for _, b := range []struct {
+		name  string
+		focal []graph.NodeID
+	}{{"two", []graph.NodeID{0, 1}}, {"all", nil}} {
+		spec := Spec{Pattern: pattern.Clique("tri", 3, nil), K: 1, Focal: b.focal}
+		ref, err := Count(g, spec, NDBas, Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		count := map[graph.NodeID]int64{}
+		for _, n := range spec.focalList(g) {
+			count[n] = ref.Counts[n]
+		}
+		algs, _ := phys.Reprice(len(count))
+		bindings = append(bindings, binding{b.name, Algorithm(algs[0]), count})
+	}
+	if bindings[0].alg == bindings[1].alg {
+		t.Fatalf("both bindings re-price to %s; the test needs a crossover", bindings[0].alg)
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				want := bindings[(w+r)%len(bindings)]
+				tab, err := stmt.ExecuteContext(context.Background(), map[string]string{"b": want.b}, ExecOptions{NoResultCache: true})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if tab.Plan != phys {
+					t.Errorf("$b=%s: executed a plan other than the cached one", want.b)
+				}
+				if tab.Algorithm != want.alg {
+					t.Errorf("$b=%s: ran %s, re-pricing chose %s", want.b, tab.Algorithm, want.alg)
+				}
+				if len(tab.TypedRows) != len(want.count) {
+					t.Errorf("$b=%s: %d rows want %d", want.b, len(tab.TypedRows), len(want.count))
+				}
+				for _, row := range tab.TypedRows {
+					if c, ok := want.count[row.Focal[0]]; !ok || c != row.Count {
+						t.Errorf("$b=%s: node %d counts %d, forced ND-BAS %d", want.b, row.Focal[0], row.Count, c)
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if phys.Explain() != explain || fmt.Sprintf("%+v batched=%v", phys.Choices, phys.Batched) != choices {
+		t.Fatal("concurrent executions modified the cached plan")
 	}
 }

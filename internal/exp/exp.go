@@ -107,6 +107,7 @@ func Figures() []Figure {
 		{"4f", "Effect of number and choice of centers on PT-OPT (DEG-CNTR vs RND-CNTR)", Fig4f},
 		{"4g", "Effect of pattern match clustering on PT-OPT (NO/RND/OPT-CLUST, varying cluster count)", Fig4g},
 		{"4h", "DBLP-style link prediction: 9 census measures vs Jaccard vs random, precision@50/@600", Fig4h},
+		{"plan", "Planner audit: |M| and |F| q-error, executed driver vs fastest forced driver, regret", FigPlan},
 		{"ext", "Extensions: shortcut ablation, workers, batching, incremental, approximation, signatures", FigExt},
 	}
 }

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strconv"
 	"strings"
@@ -37,8 +38,8 @@ func TestParseScale(t *testing.T) {
 
 func TestFiguresRegistry(t *testing.T) {
 	figs := Figures()
-	if len(figs) != 9 {
-		t.Fatalf("figures = %d want 9", len(figs))
+	if len(figs) != 10 {
+		t.Fatalf("figures = %d want 10", len(figs))
 	}
 	for _, f := range figs {
 		if f.ID == "" || f.Title == "" || f.Run == nil {
@@ -304,5 +305,44 @@ func TestMeasurementLabel(t *testing.T) {
 	}
 	if _, ok := m.Get("c"); ok {
 		t.Fatal("missing key should not resolve")
+	}
+}
+
+// The planner audit at one small size: one row per case, a regret of at
+// least 1 for the executed and the static driver, the actual |F| of each
+// focal selection, the quantile and geometric-mean rows and the
+// re-pricing tally.
+func TestPlanSweepShape(t *testing.T) {
+	ms, err := planSweep(context.Background(), []int{300}, []int{1}, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := 2 * len(planPatterns()) * len(planFocals)
+	if len(ms) != cases+5 {
+		t.Fatalf("rows = %d want %d cases + 5 summary rows", len(ms), cases)
+	}
+	wantF := map[string]string{"2%": "6", "20%": "60", "100%": "300"}
+	for _, m := range ms[:cases] {
+		focal, _ := m.Get("focal")
+		if f, _ := m.Get("F"); f != wantF[focal] {
+			t.Fatalf("%s: |F| = %s want %s", m.Label(), f, wantF[focal])
+		}
+		for _, col := range []string{"regret", "static_regret"} {
+			r, _ := m.Get(col)
+			if v, err := strconv.ParseFloat(r, 64); err != nil || v < 1 {
+				t.Fatalf("%s: %s %q", m.Label(), col, r)
+			}
+		}
+		for _, col := range []string{"choice", "static"} {
+			alg, _ := m.Get(col)
+			if _, ok := m.Get("ms." + alg); !ok {
+				t.Fatalf("%s: %s driver %q has no timing column", m.Label(), col, alg)
+			}
+		}
+	}
+	for i, q := range []string{"p50", "p90", "max", "gmean", "repriced"} {
+		if n, _ := ms[cases+i].Get("n"); n != q {
+			t.Fatalf("summary row %d = %q want %q", i, n, q)
+		}
 	}
 }

@@ -222,3 +222,31 @@ SELECT ID, COUNTP(e1, SUBGRAPH(ID, 1)), COUNTP(w2, SUBGRAPH(ID, 1)) FROM nodes`)
 		}
 	}
 }
+
+func TestCostNDBasSubpatternPaysGlobalMatch(t *testing.T) {
+	// COUNTSP ND-BAS counts against the global match set, so it pays the
+	// same global matching pass as the match-materializing drivers.
+	g := gen.PreferentialAttachment(1000, 5, 1)
+	s := graph.ComputeStats(g)
+	matches, _, _ := EstimateMatches(trianglePattern(), "", s)
+	in := CostInput{
+		Matches:      matches,
+		Focals:       float64(s.Nodes),
+		NbrNodes:     s.NeighborhoodNodes(2),
+		NbrEdges:     s.NeighborhoodEdges(2),
+		Contain:      math.Min(1, s.NeighborhoodNodes(2)/float64(s.Nodes)),
+		PatternEdges: 3,
+		Stats:        s,
+	}
+	plain := in.Cost(NDBas)
+	in.Subpattern = true
+	if got, want := in.Cost(NDBas), plain+in.commonCost(); math.Abs(got-want) > 1e-9*want {
+		t.Fatalf("COUNTSP ND-BAS cost = %v want %v", got, want)
+	}
+	// ND-DIFF always matches globally first.
+	in.Subpattern = false
+	in.Focals = 0
+	if got, want := in.Cost(NDDiff), in.commonCost(); got != want {
+		t.Fatalf("ND-DIFF cost with no focal nodes = %v want the global match %v", got, want)
+	}
+}

@@ -44,19 +44,19 @@ func TestExplainGoldenSelective(t *testing.T) {
 	p := optimizeScript(t, `
 PATTERN lt { ?A-?B; ?B-?C; ?A-?C; [?A.LABEL='core']; }
 SELECT ID, COUNTP(lt, SUBGRAPH(ID, 2)) FROM nodes WHERE RND() < 0.5 ORDER BY COUNT DESC LIMIT 3`, env)
-	want := `Plan [cost-based, est cost 15.6, est focal 3]
+	want := `Plan [cost-based, est cost 6.64, est focal 3]
 OrderLimit [ORDER BY COUNT DESC LIMIT 3]
-└─ Census [1 aggregate(s), SUBGRAPH(ID, 2)] (ND-DIFF est cost 15.6)
+└─ Census [1 aggregate(s), SUBGRAPH(ID, 2)] (PT-BAS est cost 6.64)
    ├─ PatternDef [lt: 3 nodes (1 labeled), 3 edges (0 negated), 0 predicates, pivot ?A ecc 1]
    └─ FocalSelect [WHERE RND()<'0.5'] over nodes (est selectivity 0.5)
       └─ NodeScan [6 nodes, 7 edges, 1 labels, directed=false]
 candidates for lt (est |M| 0.729, 2 automorphism(s)):
-  ND-DIFF  15.6  <- chosen
-  PT-BAS   18.4
-  PT-OPT   24.3
-  PT-RND   31.3
-  ND-PVOT  35.5
-  ND-BAS   51.8
+  PT-BAS   6.64  <- chosen
+  ND-PVOT  11
+  ND-BAS   30.9
+  ND-DIFF  35
+  PT-OPT   39.9
+  PT-RND   40.5
 `
 	if got := p.Explain(); got != want {
 		t.Fatalf("golden selective mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
@@ -68,17 +68,17 @@ func TestExplainGoldenNonSelective(t *testing.T) {
 	p := optimizeScript(t, `
 PATTERN e1 { ?A-?B; }
 SELECT ID, COUNTP(e1, SUBGRAPH(ID, 1)) FROM nodes`, env)
-	want := `Plan [cost-based, est cost 7.35, est focal 6]
-Census [1 aggregate(s), SUBGRAPH(ID, 1)] (ND-DIFF est cost 7.35)
+	want := `Plan [cost-based, est cost 18.7, est focal 6]
+Census [1 aggregate(s), SUBGRAPH(ID, 1)] (PT-BAS est cost 18.7)
 ├─ PatternDef [e1: 2 nodes (0 labeled), 1 edges (0 negated), 0 predicates, pivot ?A ecc 1]
 └─ NodeScan [6 nodes, 7 edges, 1 labels, directed=false]
 candidates for e1 (est |M| 7, 2 automorphism(s)):
-  ND-DIFF  7.35  <- chosen
-  PT-BAS   30.2
-  PT-OPT   31.9
-  PT-RND   38.1
-  ND-PVOT  46.8
-  ND-BAS   81.7
+  PT-BAS   18.7  <- chosen
+  ND-PVOT  21.8
+  ND-BAS   34.9
+  ND-DIFF  44.5
+  PT-OPT   46.7
+  PT-RND   46.8
 `
 	if got := p.Explain(); got != want {
 		t.Fatalf("golden non-selective mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
@@ -91,16 +91,16 @@ func TestExplainGoldenPairForced(t *testing.T) {
 PATTERN e1 { ?A-?B; }
 SELECT n1.ID, n2.ID, COUNTP(e1, SUBGRAPH-UNION(n1.ID, n2.ID, 1))
 FROM nodes AS n1, nodes AS n2`, env)
-	want := `Plan [forced PT-OPT, est cost 38.4, est focal 36]
-PairCensus [SUBGRAPH-UNION(n1, n2, 1)] (PT-OPT, est cost 38.4)
+	want := `Plan [forced PT-OPT, est cost 79.7, est focal 36]
+PairCensus [SUBGRAPH-UNION(n1, n2, 1)] (PT-OPT, est cost 79.7)
 ├─ PatternDef [e1: 2 nodes (0 labeled), 1 edges (0 negated), 0 predicates, pivot ?A ecc 1]
 └─ NodeScan [6 nodes, 7 edges, 1 labels, directed=false]
 candidates for e1 (est |M| 7, 2 automorphism(s)):
-  PT-BAS   35.9
-  PT-OPT   38.4  <- chosen
-  PT-RND   51.7
-  ND-PVOT  285
-  ND-BAS   863
+  PT-BAS   24.7
+  PT-OPT   79.7  <- chosen
+  PT-RND   80.8
+  ND-PVOT  111
+  ND-BAS   416
 `
 	if got := p.Explain(); got != want {
 		t.Fatalf("golden pair mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)

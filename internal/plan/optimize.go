@@ -53,9 +53,15 @@ type Physical struct {
 	TotalCost float64
 	// Forced echoes Env.Forced (after pairwise ND-DIFF substitution).
 	Forced string
+
+	// inputs holds each aggregate's cost inputs at the estimated focal
+	// count; Reprice prices them again at the observed one.
+	inputs []CostInput
 }
 
-// Algorithm returns the algorithm executed for aggregate i.
+// Algorithm returns the algorithm chosen for aggregate i at the estimated
+// focal count, the choice EXPLAIN shows. Execution re-prices it at the
+// observed count (Reprice).
 func (p *Physical) Algorithm(i int) string { return p.Choices[i].Algorithm }
 
 // Optimize chooses the physical strategy for a logical plan: it estimates
@@ -100,12 +106,8 @@ func Optimize(l *Logical, env Env) (*Physical, error) {
 		p.Focals = p.Selectivity * n
 	}
 
-	allowed := Algorithms
-	if l.Pair {
-		allowed = PairAlgorithms
-	}
-
-	inputs := make([]CostInput, len(l.Aggs))
+	p.inputs = make([]CostInput, len(l.Aggs))
+	p.Choices = make([]AggChoice, len(l.Aggs))
 	for i, agg := range l.Aggs {
 		matches, _, autos := EstimateMatches(agg.Pattern, agg.Subpattern, s)
 		posEdges := 0
@@ -121,6 +123,7 @@ func Optimize(l *Logical, env Env) (*Physical, error) {
 			NbrEdges:     p.NbrEdges,
 			Contain:      contain,
 			PatternEdges: posEdges,
+			Subpattern:   agg.Subpattern != "",
 			KMeansIters:  env.KMeansIters,
 			Stats:        s,
 		}
@@ -129,48 +132,87 @@ func Optimize(l *Logical, env Env) (*Physical, error) {
 			in.NbrNodes *= 2
 			in.NbrEdges *= 2
 		}
-		inputs[i] = in
+		p.inputs[i] = in
 		choice := AggChoice{Matches: matches, Autos: autos, Costs: map[string]float64{}}
-		for _, alg := range allowed {
+		for _, alg := range p.allowed() {
 			choice.Costs[alg] = in.Cost(alg)
 		}
-		if p.Forced != "" {
-			choice.Algorithm = p.Forced
-			choice.Cost = in.Cost(p.Forced)
-		} else {
-			choice.Algorithm, choice.Cost = in.Best(allowed)
-		}
-		p.Choices = append(p.Choices, choice)
+		p.Choices[i] = choice
 	}
-
-	// Multi-aggregate censuses can batch: one BFS distance plane per focal
-	// node shared by every aggregate's containment probes (the CountMany
-	// driver, which is ND-PVOT-shaped). Compare against independent runs.
-	if !l.Pair && len(l.Aggs) > 1 {
-		batched := p.Focals * p.NbrNodes // the shared BFS, paid once
-		perAgg := 0.0
-		for i := range inputs {
-			batched += inputs[i].commonCost() + p.Focals*inputs[i].Matches*contain*cContain
-			perAgg += p.Choices[i].Cost
-		}
-		if p.Forced == NDPvot || (p.Forced == "" && batched < perAgg) {
-			p.Batched = true
-			for i := range p.Choices {
-				p.Choices[i].Algorithm = NDPvot
-			}
-			p.TotalCost = batched
-		} else {
-			p.TotalCost = perAgg
-		}
-	} else {
-		for i := range p.Choices {
-			p.TotalCost += p.Choices[i].Cost
-		}
+	algs := make([]string, len(p.Choices))
+	costs := make([]float64, len(p.Choices))
+	p.Batched, p.TotalCost = p.pick(p.Focals, algs, costs)
+	for i := range p.Choices {
+		p.Choices[i].Algorithm, p.Choices[i].Cost = algs[i], costs[i]
 	}
 
 	// Annotate the logical tree for EXPLAIN.
 	annotate(l.Root, s, p.Selectivity)
 	return p, nil
+}
+
+// allowed lists the algorithms priced for this plan: pairwise censuses
+// have no ND-DIFF.
+func (p *Physical) allowed() []string {
+	if p.Pair {
+		return PairAlgorithms
+	}
+	return Algorithms
+}
+
+// pick prices every aggregate at focals focal units (nodes, or ordered
+// pairs) and writes each one's algorithm and cost into algs and costs:
+// the forced algorithm, or the cheapest allowed one. A multi-aggregate
+// single-node census may instead batch: one BFS distance plane per focal
+// node shared by every aggregate's containment probes (the CountMany
+// driver, which is ND-PVOT-shaped), chosen when it undercuts the
+// independent runs; algs then reads ND-PVOT throughout. It returns the
+// batching decision and the total cost, and modifies nothing in p.
+func (p *Physical) pick(focals float64, algs []string, costs []float64) (batched bool, total float64) {
+	for i, in := range p.inputs {
+		in.Focals = focals
+		if p.Forced != "" {
+			algs[i], costs[i] = p.Forced, in.Cost(p.Forced)
+		} else {
+			algs[i], costs[i] = in.Best(p.allowed())
+		}
+		total += costs[i]
+	}
+	if p.Pair || len(p.inputs) < 2 {
+		return false, total
+	}
+	shared := focals * p.NbrNodes * cBFS // the shared BFS, paid once
+	for _, in := range p.inputs {
+		shared += in.commonCost() + focals*in.Matches*in.Contain*cContain
+	}
+	if p.Forced == NDPvot || (p.Forced == "" && shared < total) {
+		for i := range algs {
+			algs[i] = NDPvot
+		}
+		return true, shared
+	}
+	return false, total
+}
+
+// Reprice returns the algorithm each aggregate runs, and whether the
+// census batches, once execution has counted the focal set: focals is
+// the observed |F|, where Optimize priced the estimate p.Focals. The
+// estimate can be off by the whole WHERE selectivity, and the paper's
+// node- versus pattern-driven crossover (Fig 4(c)/(d)) moves with |F|.
+// A forced algorithm is never re-priced, and neither is a pairwise plan:
+// pattern-driven pair evaluation never enumerates pairs, so there is no
+// observed count to price. p is shared by concurrent executions through
+// the plan cache and is not modified.
+func (p *Physical) Reprice(focals int) (algs []string, batched bool) {
+	algs = make([]string, len(p.Choices))
+	if p.Forced != "" || p.Pair {
+		for i := range p.Choices {
+			algs[i] = p.Choices[i].Algorithm
+		}
+		return algs, p.Batched
+	}
+	batched, _ = p.pick(float64(focals), algs, make([]float64, len(algs)))
+	return algs, batched
 }
 
 func annotate(n Node, s *graph.Stats, sel float64) {

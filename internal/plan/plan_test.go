@@ -2,8 +2,11 @@ package plan
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
+	"egocensus/internal/gen"
+	"egocensus/internal/graph"
 	"egocensus/internal/lang"
 	"egocensus/internal/pattern"
 )
@@ -140,5 +143,26 @@ func TestAutomorphisms(t *testing.T) {
 	cyc.MustAddEdge(2, 0, true, false)
 	if got := len(pattern.Automorphisms(cyc, nil, pattern.Structural)); got != 3 {
 		t.Fatalf("directed cycle autos = %d want 3", got)
+	}
+}
+
+// The first queries on an engine plan concurrently; they must share one
+// statistics snapshot, computed once and without a data race.
+func TestGraphSourceStatsConcurrent(t *testing.T) {
+	src := FromGraph(gen.PreferentialAttachment(200, 3, 1))
+	got := make([]*graph.Stats, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], _ = src.GraphStats()
+		}(i)
+	}
+	wg.Wait()
+	for _, s := range got {
+		if s == nil || s != got[0] {
+			t.Fatal("concurrent GraphStats calls returned different snapshots")
+		}
 	}
 }
