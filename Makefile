@@ -28,8 +28,11 @@ stress:
 chaos:
 	./scripts/chaos_soak.sh
 
+# The one benchmark (bench/, declared in BENCHMARK.json): every workload,
+# untraced and traced, report in bench/out/. The paper-figure Go benchmarks in
+# bench_test.go run with `go test -bench=. -run='^$' .`.
 bench:
-	$(GO) test -bench=. -benchmem -run='^$$' .
+	bash bench/run.sh --seed 1 --out bench/out/report.json
 
 # Tracked line count: non-test Go (tracked *.go minus _test.go and
 # testdata/), printed for the root module and the bench/ module apart.

@@ -285,7 +285,11 @@ func countGuarded(g *graph.Graph, spec Spec, alg Algorithm, opt Options, gd *gua
 	case NDDiff:
 		return countNDDiff(g, spec, opt, gd)
 	case NDPvot:
-		return countNDPvot(g, spec, opt, gd)
+		res, err := countNDPvot(g, []Spec{spec}, opt, gd)
+		if res == nil {
+			return nil, err
+		}
+		return res[0], err
 	case PTBas:
 		return countPTBas(g, spec, opt, gd)
 	case PTOpt:

@@ -187,6 +187,17 @@ func TestSubpatternCensusRandom(t *testing.T) {
 		spec := Spec{Pattern: p, Subpattern: "corner", K: k}
 		checkAllAlgorithms(t, g, spec, Options{})
 	}
+	// Far anchors: the pivot is 3 hops from the other anchor, so at k < 3
+	// ND-PVOT takes its partial-containment branch; with all four nodes
+	// as anchors, it checks a different anchor set at each distance.
+	ch := pattern.Chain("ch4", 4, nil)
+	if err := ch.AddSubpattern("ends", []int{0, 3}); err != nil {
+		t.Fatal(err)
+	}
+	for k := 1; k <= 2; k++ {
+		checkAllAlgorithms(t, g, Spec{Pattern: ch, Subpattern: "ends", K: k}, Options{})
+	}
+	checkAllAlgorithms(t, g, Spec{Pattern: ch, K: 2}, Options{})
 }
 
 func TestAlgorithmsAgreeProperty(t *testing.T) {

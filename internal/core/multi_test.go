@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"egocensus/internal/gen"
@@ -25,16 +27,13 @@ func TestCountManyMatchesIndividualRuns(t *testing.T) {
 		t.Fatalf("results = %d", len(batch))
 	}
 	for i, spec := range specs {
-		want, err := Count(g, spec, NDPvot, Options{Seed: 1})
-		if err != nil {
-			t.Fatal(err)
+		if want := len(referenceMatches(g, spec)); batch[i].NumMatches != want {
+			t.Fatalf("spec %d: NumMatches %d want %d", i, batch[i].NumMatches, want)
 		}
-		if batch[i].NumMatches != want.NumMatches {
-			t.Fatalf("spec %d: NumMatches %d want %d", i, batch[i].NumMatches, want.NumMatches)
-		}
-		for n := range want.Counts {
-			if batch[i].Counts[n] != want.Counts[n] {
-				t.Fatalf("spec %d node %d: %d want %d", i, n, batch[i].Counts[n], want.Counts[n])
+		want := bruteCounts(t, g, spec)
+		for n := range want {
+			if batch[i].Counts[n] != want[n] {
+				t.Fatalf("spec %d node %d: %d want %d", i, n, batch[i].Counts[n], want[n])
 			}
 		}
 	}
@@ -56,13 +55,10 @@ func TestCountManyWithFocalAndSubpattern(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, spec := range specs {
-		want, err := Count(g, spec, NDPvot, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := bruteCounts(t, g, spec)
 		for _, n := range focal {
-			if batch[i].Counts[n] != want.Counts[n] {
-				t.Fatalf("spec %d node %d: %d want %d", i, n, batch[i].Counts[n], want.Counts[n])
+			if batch[i].Counts[n] != want[n] {
+				t.Fatalf("spec %d node %d: %d want %d", i, n, batch[i].Counts[n], want[n])
 			}
 		}
 	}
@@ -110,5 +106,18 @@ func TestCountManyNoMatches(t *testing.T) {
 		if batch[1].Counts[n] == 0 {
 			t.Fatal("single-node counts should be positive")
 		}
+	}
+}
+
+// TestCountManyMemoryBudget checks that the batch charges every spec's
+// count column against MemoryBudget, as the single-spec drivers do: clq6
+// has no matches here, so the columns are the only charge.
+func TestCountManyMemoryBudget(t *testing.T) {
+	g := gen.ErdosRenyi(200, 800, 3)
+	specs := []Spec{{Pattern: pattern.Clique("clq6", 6, nil), K: 1}}
+	_, err := CountManyContext(context.Background(), g, specs, Options{Limits: Limits{MemoryBudget: 64}})
+	var le *LimitError
+	if !errors.As(err, &le) || le.Limit != "memory-budget" {
+		t.Fatalf("err = %v, want a memory-budget *LimitError", err)
 	}
 }

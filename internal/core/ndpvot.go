@@ -5,124 +5,137 @@ import (
 	"egocensus/internal/pattern"
 )
 
-// buildPMI builds a pattern match index for a designated pattern node v: a
-// dense per-graph-node table mapping n' to the indices of the matches in
-// which n' is the image of v (Section IV-A1).
-func buildPMI(numNodes int, matches []pattern.Match, pivot int) [][]int32 {
-	idx := make([][]int32, numNodes)
-	for i, m := range matches {
-		n := m[pivot]
-		idx[n] = append(idx[n], int32(i))
-	}
-	return idx
+// pivotIndex is the pattern match index of ND-PVOT (Algorithm 2, Section
+// IV-A1): the global match set bucketed by the image of an
+// eccentricity-minimizing anchor pivot. countNDPvot (one or several specs
+// sharing one BFS per focal node, the latter for CountMany) and pairNDPvot
+// count through it.
+type pivotIndex struct {
+	matches []pattern.Match
+	// pmi[n'] lists the indices of the matches mapping the pivot to n'.
+	pmi [][]int32
+	// maxV is the pivot's eccentricity over the anchors.
+	maxV int
+	// distant[i] lists the anchors u with d(pivot, u) >= i: the ones that
+	// can escape the neighborhood when its radius minus d(n, n') is i - 1.
+	distant [][]int
 }
 
-// countNDPvot is the pivot indexing algorithm (Algorithm 2): find all
-// matches once, index them by the image of an eccentricity-minimizing
-// pivot node, then BFS each focal node's neighborhood and count index
-// buckets — skipping containment checks whenever the triangle inequality
-// through the pivot already guarantees containment, and otherwise checking
-// only the pattern nodes that are distant enough from the pivot to be able
-// to escape the neighborhood. Focal nodes are processed in parallel across
-// Options.Workers; each owns a disjoint result slot.
+// newPivotIndex indexes a non-empty match set of spec over a graph with
+// numNodes nodes. The pivot is chosen among the anchor (subpattern) nodes,
+// with eccentricity measured over the anchors: only their containment
+// matters.
+func newPivotIndex(numNodes int, spec Spec, matches []pattern.Match) *pivotIndex {
+	anchors := spec.anchorNodes()
+	pivot, maxV := spec.Pattern.Pivot(anchors)
+	dist := spec.Pattern.Distances()[pivot]
+	ix := &pivotIndex{matches: matches, pmi: make([][]int32, numNodes), maxV: maxV, distant: make([][]int, maxV+1)}
+	for _, u := range anchors {
+		for i := 1; i <= dist[u]; i++ {
+			ix.distant[i] = append(ix.distant[i], u)
+		}
+	}
+	for i, m := range matches {
+		ix.pmi[m[pivot]] = append(ix.pmi[m[pivot]], int32(i))
+	}
+	return ix
+}
+
+// check returns the anchors whose images must be containment-checked for
+// the bucket of a node at distance d <= k from the focal node, or all when
+// the triangle inequality through the pivot already places the whole
+// bucket inside: d(n, mu(u)) <= d + d(pivot, u) <= d + maxV <= k. Otherwise
+// only anchors with d(pivot, u) > k - d can escape S(n, k).
+func (ix *pivotIndex) check(d, k int) (anchors []int, all bool) {
+	if d+ix.maxV <= k {
+		return nil, true
+	}
+	return ix.distant[k-d+1], false
+}
+
+// count returns the number of indexed matches whose anchor images all lie
+// in reach, one focal node's k-hop neighborhood. A stop observed by tk
+// returns its error and no count.
+func (ix *pivotIndex) count(reach graph.Reach, k int, tk *ticker) (int64, error) {
+	var count int64
+	for _, nPrime := range reach.Nodes {
+		if err := tk.tick(); err != nil {
+			return 0, err
+		}
+		bucket := ix.pmi[nPrime]
+		if len(bucket) == 0 {
+			continue
+		}
+		toCheck, all := ix.check(int(reach.Dist(nPrime)), k)
+		if all {
+			count += int64(len(bucket))
+			continue
+		}
+	next:
+		for _, mi := range bucket {
+			m := ix.matches[mi]
+			for _, u := range toCheck {
+				if !reach.Contains(m[u]) {
+					continue next
+				}
+			}
+			count++
+		}
+	}
+	return count, nil
+}
+
+// countNDPvot is the pivot indexing algorithm (Algorithm 2) over specs
+// sharing one radius and focal set: find each spec's matches once and
+// index them by pivot image (pivotIndex), then BFS each focal node's
+// neighborhood once and count every index against it — skipping
+// containment checks whenever the triangle inequality through the pivot
+// already guarantees containment. Focal nodes are processed in parallel
+// across Options.Workers; each owns a disjoint result slot, and one
+// stopped by the guard keeps 0. The typed error carries the first spec's
+// partial census.
 //
 //egolint:deterministic census drivers must be bit-identical across runs, algorithms, and worker counts
-func countNDPvot(g *graph.Graph, spec Spec, opt Options, gd *guard) (*Result, error) {
-	res := &Result{Counts: make([]int64, g.NumNodes())}
-	gd.chargeMem(int64(g.NumNodes()) * 8)
-	matches, embs, err := globalMatchesGuarded(g, spec, opt, gd)
-	if err != nil {
-		return nil, err
+func countNDPvot(g *graph.Graph, specs []Spec, opt Options, gd *guard) ([]*Result, error) {
+	results := make([]*Result, len(specs))
+	indexes := make([]*pivotIndex, len(specs))
+	indexed := false
+	for i, spec := range specs {
+		gd.chargeMem(int64(g.NumNodes()) * 8)
+		matches, embs, err := globalMatchesGuarded(g, spec, opt, gd)
+		if err != nil {
+			return nil, err
+		}
+		results[i] = &Result{Counts: make([]int64, g.NumNodes()), NumMatches: len(matches), Embeddings: embs}
+		if len(matches) > 0 {
+			indexes[i], indexed = newPivotIndex(g.NumNodes(), spec, matches), true
+		}
 	}
-	res.NumMatches, res.Embeddings = len(matches), embs
-	if len(matches) == 0 {
-		return res, nil
+	if !indexed {
+		return results, nil
 	}
 
-	p := spec.Pattern
-	anchorIdx := spec.anchorNodes()
 	prepare(g)
-
-	// Pivot selection restricted to the anchor (subpattern) nodes, with
-	// eccentricity measured over the anchors (the only nodes whose
-	// containment matters).
-	dist := p.Distances()
-	pivot, maxV := -1, int(^uint(0)>>1)
-	for _, x := range anchorIdx {
-		ecc := 0
-		for _, y := range anchorIdx {
-			if dist[x][y] > ecc {
-				ecc = dist[x][y]
-			}
-		}
-		if ecc < maxV {
-			pivot, maxV = x, ecc
-		}
-	}
-
-	// distant[i] = anchor nodes u with d(pivot, u) >= i: the nodes that
-	// require an explicit containment check when k - d(n, n') = i - 1.
-	distant := make([][]int, maxV+2)
-	for _, u := range anchorIdx {
-		for i := 1; i <= maxV; i++ {
-			if dist[pivot][u] >= i {
-				distant[i] = append(distant[i], u)
-			}
-		}
-	}
-
-	index := buildPMI(g.NumNodes(), matches, pivot)
-
-	// Focal nodes are disjoint result slots, so workers write directly.
-	focal := spec.focalList(g)
+	k := specs[0].K
+	focal := specs[0].focalList(g)
 	gd.setFocalTotal(len(focal))
 	focalCost := func(i int) int64 { return 1 + int64(g.Degree(focal[i])) }
 	parallelForCostAff(gd, opt.workers(), len(focal), focalCost, opt.focalAffinity(focal), func(fi int) {
 		n := focal[fi]
 		s := graph.AcquireScratch(g.NumNodes())
 		defer s.Release()
-		reach := g.KHop(n, spec.K, s)
-		var count int64
+		reach := g.KHop(n, k, s) // the shared traversal
 		tk := ticker{gd: gd}
-		for _, nPrime := range reach.Nodes {
-			if tk.tick() != nil {
+		for i, ix := range indexes {
+			if ix == nil {
+				continue
+			}
+			count, err := ix.count(reach, k, &tk)
+			if err != nil {
 				return
 			}
-			bucket := index[nPrime]
-			if len(bucket) == 0 {
-				continue
-			}
-			d := int(reach.Dist(nPrime))
-			if d+maxV <= spec.K {
-				// Containment guaranteed: d(n, mu(u)) <= d + d(pivot, u)
-				// <= d + maxV <= k for every anchor u.
-				count += int64(len(bucket))
-				continue
-			}
-			// Only anchors with d(pivot, u) > k - d can escape S(n, k).
-			checkIdx := spec.K - d + 1
-			if checkIdx < 1 {
-				checkIdx = 1
-			}
-			if checkIdx >= len(distant) {
-				checkIdx = len(distant) - 1
-			}
-			toCheck := distant[checkIdx]
-			for _, mi := range bucket {
-				m := matches[mi]
-				inside := true
-				for _, u := range toCheck {
-					if !reach.Contains(m[u]) {
-						inside = false
-						break
-					}
-				}
-				if inside {
-					count++
-				}
-			}
+			results[i].Counts[n] = count
 		}
-		res.Counts[n] = count
 	})
-	return res, gd.failure(res, nil)
+	return results, gd.failure(results[0], nil)
 }

@@ -220,6 +220,21 @@ func (m *pairMask) Contains(n graph.NodeID) bool {
 
 func (m *pairMask) Members() []graph.NodeID { return m.nodes }
 
+// dist is the distance ND-PVOT's triangle inequality starts from for a
+// member n: n must be near both sources of an intersection, so the larger
+// of its two BFS distances, and near either source of a union, so the
+// smaller one it has.
+func (m *pairMask) dist(n graph.NodeID) int {
+	da, db := m.a.Dist(n), m.b.Dist(n)
+	if !m.union {
+		return int(max(da, db))
+	}
+	if da < 0 || (db >= 0 && db < da) {
+		return int(db)
+	}
+	return int(da)
+}
+
 // pairNDContainment matches globally and containment-checks each anchor
 // image against the combined neighborhood of each pair.
 func pairNDContainment(g *graph.Graph, spec PairSpec, opt Options, gd *guard) (*PairResult, error) {
@@ -235,35 +250,25 @@ func pairNDContainment(g *graph.Graph, spec PairSpec, opt Options, gd *guard) (*
 	sb := graph.AcquireScratch(g.NumNodes())
 	defer sa.Release()
 	defer sb.Release()
+	mask := new(pairMask)
 	tk := ticker{gd: gd}
 	for _, pr := range spec.Pairs {
 		if gd.check() != nil {
 			break
 		}
-		ra := g.KHop(pr.A, spec.K, sa)
-		rb := g.KHop(pr.B, spec.K, sb)
+		mask.set(g.KHop(pr.A, spec.K, sa), g.KHop(pr.B, spec.K, sb), spec.Mode == Union)
 		var count int64
+	next:
 		for _, m := range matches {
 			if tk.tick() != nil {
 				break
 			}
-			inside := true
 			for _, idx := range anchorIdx {
-				inA := ra.Contains(m[idx])
-				inB := rb.Contains(m[idx])
-				if spec.Mode == Intersection {
-					if !inA || !inB {
-						inside = false
-						break
-					}
-				} else if !inA && !inB {
-					inside = false
-					break
+				if !mask.Contains(m[idx]) {
+					continue next
 				}
 			}
-			if inside {
-				count++
-			}
+			count++
 		}
 		if count > 0 {
 			if gd.chargeRows(1) != nil {
@@ -277,9 +282,9 @@ func pairNDContainment(g *graph.Graph, spec PairSpec, opt Options, gd *guard) (*
 }
 
 // pairNDPvot adapts the pivot indexing algorithm to pairs (Appendix B):
-// the traversal set becomes the intersection/union of the two k-hop
-// neighborhoods, and d(n, n') becomes max(d1, d2) for intersections and
-// min(d1, d2) for unions.
+// the traversal set becomes the pair's combined neighborhood (pairMask),
+// and d(n, n') becomes pairMask.dist, the max of the two BFS distances for
+// intersections and the min for unions; the pivotIndex decides the rest.
 func pairNDPvot(g *graph.Graph, spec PairSpec, opt Options, gd *guard) (*PairResult, error) {
 	if spec.Pairs == nil {
 		return nil, fmt.Errorf("census: ND-PVOT pairwise requires an explicit pair list")
@@ -293,106 +298,43 @@ func pairNDPvot(g *graph.Graph, spec PairSpec, opt Options, gd *guard) (*PairRes
 	if len(matches) == 0 {
 		return res, nil
 	}
-	p := spec.Pattern
-	anchorIdx := spec.anchorNodes()
-	dist := p.Distances()
-	pivot, maxV := -1, int(^uint(0)>>1)
-	for _, x := range anchorIdx {
-		ecc := 0
-		for _, y := range anchorIdx {
-			if dist[x][y] > ecc {
-				ecc = dist[x][y]
-			}
-		}
-		if ecc < maxV {
-			pivot, maxV = x, ecc
-		}
-	}
-	index := buildPMI(g.NumNodes(), matches, pivot)
-
-	inCombined := func(n graph.NodeID, ra, rb graph.Reach) bool {
-		inA := ra.Contains(n)
-		inB := rb.Contains(n)
-		if spec.Mode == Intersection {
-			return inA && inB
-		}
-		return inA || inB
-	}
+	ix := newPivotIndex(g.NumNodes(), spec.Spec, matches)
 
 	gd.setFocalTotal(len(spec.Pairs))
 	sa := graph.AcquireScratch(g.NumNodes())
 	sb := graph.AcquireScratch(g.NumNodes())
 	defer sa.Release()
 	defer sb.Release()
+	mask := new(pairMask)
 	tk := ticker{gd: gd}
 	for _, pr := range spec.Pairs {
 		if gd.check() != nil {
 			break
 		}
-		ra := g.KHop(pr.A, spec.K, sa)
-		rb := g.KHop(pr.B, spec.K, sb)
+		mask.set(g.KHop(pr.A, spec.K, sa), g.KHop(pr.B, spec.K, sb), spec.Mode == Union)
 		var count int64
-		visit := func(nPrime graph.NodeID, d int) {
-			tk.tick()
-			bucket := index[nPrime]
+		for _, nPrime := range mask.nodes {
+			if tk.tick() != nil {
+				break
+			}
+			bucket := ix.pmi[nPrime]
 			if len(bucket) == 0 {
-				return
+				continue
 			}
-			if d+maxV <= spec.K {
+			toCheck, all := ix.check(mask.dist(nPrime), spec.K)
+			if all {
 				count += int64(len(bucket))
-				return
+				continue
 			}
+		next:
 			for _, mi := range bucket {
-				m := matches[mi]
-				inside := true
-				for _, u := range anchorIdx {
-					if dist[pivot][u]+d <= spec.K {
-						continue // cannot escape
-					}
-					if !inCombined(m[u], ra, rb) {
-						inside = false
-						break
+				m := ix.matches[mi]
+				for _, u := range toCheck {
+					if !mask.Contains(m[u]) {
+						continue next
 					}
 				}
-				if inside {
-					count++
-				}
-			}
-		}
-		if spec.Mode == Intersection {
-			for _, n := range ra.Nodes {
-				if gd.stopped() {
-					break
-				}
-				d2 := rb.Dist(n)
-				if d2 < 0 {
-					continue
-				}
-				d := int(ra.Dist(n))
-				if int(d2) > d {
-					d = int(d2)
-				}
-				visit(n, d)
-			}
-		} else {
-			for _, n := range ra.Nodes {
-				if gd.stopped() {
-					break
-				}
-				d := int(ra.Dist(n))
-				if d2 := rb.Dist(n); d2 >= 0 && int(d2) < d {
-					d = int(d2)
-				}
-				visit(n, d)
-			}
-			for _, n := range rb.Nodes {
-				if gd.stopped() {
-					break
-				}
-				if ra.Contains(n) {
-					continue // already visited
-				}
-				visit(n, int(rb.Dist(n)))
+				count++
 			}
 		}
 		if count > 0 {

@@ -180,23 +180,22 @@ func TestPairwiseSubpattern(t *testing.T) {
 	if err := p.AddSubpattern("corner", []int{0}); err != nil {
 		t.Fatal(err)
 	}
-	spec := PairSpec{
-		Spec: Spec{Pattern: p, Subpattern: "corner", K: 1},
-		Mode: Intersection,
+	// Far anchors: the pivot is 3 hops from the other anchor, so ND-PVOT
+	// checks containment partially in both modes; with all four nodes as
+	// anchors, it checks a different anchor set at each distance.
+	ch := pattern.Chain("ch4", 4, nil)
+	if err := ch.AddSubpattern("ends", []int{0, 3}); err != nil {
+		t.Fatal(err)
 	}
-	spec.Pairs = allPairs(g)
-	want := brutePairCounts(t, g, spec, spec.Pairs)
-	for _, alg := range []Algorithm{NDBas, NDPvot, PTBas, PTOpt} {
-		res, err := CountPairs(g, spec, alg, Options{})
-		if err != nil {
-			t.Fatalf("%s: %v", alg, err)
-		}
-		for _, pr := range spec.Pairs {
-			key := MakePair(pr.A, pr.B)
-			if res.Counts[key] != want[key] {
-				t.Fatalf("%s: pair %v = %d want %d", alg, key, res.Counts[key], want[key])
-			}
-		}
+	for _, spec := range []PairSpec{
+		{Spec: Spec{Pattern: p, Subpattern: "corner", K: 1}, Mode: Intersection},
+		{Spec: Spec{Pattern: ch, Subpattern: "ends", K: 2}, Mode: Intersection},
+		{Spec: Spec{Pattern: ch, Subpattern: "ends", K: 2}, Mode: Union},
+		{Spec: Spec{Pattern: ch, K: 2}, Mode: Intersection},
+		{Spec: Spec{Pattern: ch, K: 2}, Mode: Union},
+	} {
+		spec.Pairs = allPairs(g)
+		checkPairAlgorithms(t, g, spec)
 	}
 }
 
@@ -209,13 +208,25 @@ func TestPairwiseAgreeProperty(t *testing.T) {
 			mode = Union
 		}
 		var p *pattern.Pattern
-		if rng.Intn(2) == 0 {
+		sub := ""
+		switch rng.Intn(4) {
+		case 0:
 			p = pattern.SingleNode("n", "")
-		} else {
+		case 1:
 			p = pattern.SingleEdge("e", nil)
+		default:
+			// A chain's pivot is over a hop from its far anchors, which
+			// takes ND-PVOT into partial containment checks.
+			p = pattern.Chain("ch4", 4, nil)
+			if err := p.AddSubpattern("ends", []int{0, 3}); err != nil {
+				t.Fatal(err)
+			}
+			if rng.Intn(2) == 0 {
+				sub = "ends"
+			}
 		}
 		k := 1 + rng.Intn(2)
-		spec := PairSpec{Spec: Spec{Pattern: p, K: k}, Mode: mode}
+		spec := PairSpec{Spec: Spec{Pattern: p, Subpattern: sub, K: k}, Mode: mode}
 		spec.Pairs = allPairs(g)
 		want := brutePairCounts(t, g, spec, spec.Pairs)
 		for _, alg := range []Algorithm{NDBas, NDPvot, PTBas, PTOpt, PTRnd} {
@@ -227,7 +238,7 @@ func TestPairwiseAgreeProperty(t *testing.T) {
 			for _, pr := range spec.Pairs {
 				key := MakePair(pr.A, pr.B)
 				if res.Counts[key] != want[key] {
-					t.Logf("seed %d %s %v pair %v: %d want %d", seed, alg, mode, key, res.Counts[key], want[key])
+					t.Logf("seed %d %s %v %s/%q k=%d pair %v: %d want %d", seed, alg, mode, p.Name, sub, k, key, res.Counts[key], want[key])
 					return false
 				}
 			}

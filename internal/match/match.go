@@ -246,42 +246,6 @@ func enumerateCandidates(g *graph.Graph, p *pattern.Pattern) [][]graph.NodeID {
 	return cands
 }
 
-// enumerateCandidatesWithin is enumerateCandidates restricted to a node
-// subset: candidates are drawn from within's members instead of label
-// pools. Profiles and degrees are the parent graph's — supersets of the
-// induced subgraph's, so the filter is sound (never drops a true
-// candidate); adjacency is verified exactly by the candidate neighbor
-// sets, which are mask-restricted.
-func enumerateCandidatesWithin(g *graph.Graph, p *pattern.Pattern, within NodeSet) [][]graph.NodeID {
-	if within == nil {
-		return enumerateCandidates(g, p)
-	}
-	members := within.Members()
-	cands := make([][]graph.NodeID, p.NumNodes())
-	for v := 0; v < p.NumNodes(); v++ {
-		prof := buildPatternProfile(g, p, v)
-		want := graph.NoLabel
-		if l := p.Node(v).Label; l != "" {
-			id, ok := g.Labels().Lookup(l)
-			if !ok {
-				continue // label absent from the graph: no candidates
-			}
-			want = id
-		}
-		var out []graph.NodeID
-		for _, n := range members {
-			if want != graph.NoLabel && g.Label(n) != want {
-				continue
-			}
-			if prof.matches(g, n) {
-				out = append(out, n)
-			}
-		}
-		cands[v] = out
-	}
-	return cands
-}
-
 // edgeReq captures the direction requirements between a pair of adjacent
 // pattern nodes, aggregated over all positive edges between them.
 type edgeReq struct {

@@ -257,8 +257,9 @@ func (p *Pattern) Distances() [][]int {
 	return d
 }
 
-// Pivot returns the eccentricity-minimizing pattern node restricted to the
-// candidate set (Section IV-A1: v = argmin_x max_y d(x,y)), along with its
+// Pivot returns the eccentricity-minimizing node of the candidate set,
+// with eccentricity measured over the candidates (Section IV-A1:
+// v = argmin_x max_y d(x,y) over the anchor nodes), along with its
 // eccentricity max_v. candidates nil means all nodes.
 func (p *Pattern) Pivot(candidates []int) (pivot, maxDist int) {
 	d := p.Distances()
@@ -271,7 +272,7 @@ func (p *Pattern) Pivot(candidates []int) (pivot, maxDist int) {
 	pivot, maxDist = -1, int(^uint(0)>>1)
 	for _, i := range candidates {
 		ecc := 0
-		for j := range p.nodes {
+		for _, j := range candidates {
 			if d[i][j] > ecc {
 				ecc = d[i][j]
 			}

@@ -73,9 +73,10 @@ func TestDistancesAndPivot(t *testing.T) {
 	if pivot != 2 || ecc != 2 {
 		t.Fatalf("pivot = %d ecc = %d, want middle node with ecc 2", pivot, ecc)
 	}
-	// Restricted pivot selection (subpattern handling).
+	// Restricted pivot selection (subpattern handling): eccentricity is
+	// measured over the candidates only.
 	pivot, ecc = p.Pivot([]int{0, 1})
-	if pivot != 1 || ecc != 3 {
+	if pivot != 0 || ecc != 1 {
 		t.Fatalf("restricted pivot = %d ecc = %d", pivot, ecc)
 	}
 }

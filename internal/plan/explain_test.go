@@ -5,6 +5,7 @@ import (
 
 	"egocensus/internal/graph"
 	"egocensus/internal/lang"
+	"egocensus/internal/pattern"
 )
 
 // goldenGraph is small and hand-built so every statistic in the golden
@@ -104,5 +105,20 @@ candidates for e1 (est |M| 7, 2 automorphism(s)):
 `
 	if got := p.Explain(); got != want {
 		t.Fatalf("golden pair mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
+// TestPatternDefLabelSubpattern checks that a COUNTSP aggregate shows the
+// pivot ND-PVOT runs with: the eccentricity-minimizing anchor, with
+// eccentricity measured over the anchors.
+func TestPatternDefLabelSubpattern(t *testing.T) {
+	p := pattern.Chain("ch5", 5, nil)
+	if err := p.AddSubpattern("end", []int{0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	got := (&PatternDef{Pattern: p, Subpattern: "end"}).Label()
+	want := `PatternDef [ch5: 5 nodes (0 labeled), 4 edges (0 negated), 0 predicates, pivot ?A ecc 1] anchors=subpattern "end" (2 of 5 nodes)`
+	if got != want {
+		t.Fatalf("label:\n got %s\nwant %s", got, want)
 	}
 }

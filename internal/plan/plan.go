@@ -90,12 +90,16 @@ func (n *PatternDef) Label() string {
 			negated++
 		}
 	}
-	pivot, ecc := p.Pivot(nil)
+	// The pivot ND-PVOT runs with: chosen among the anchors (nil: all nodes).
+	var anchors []int
+	if n.Subpattern != "" {
+		anchors, _ = p.Subpattern(n.Subpattern)
+	}
+	pivot, ecc := p.Pivot(anchors)
 	s := fmt.Sprintf("PatternDef [%s: %d nodes (%d labeled), %d edges (%d negated), %d predicates, pivot ?%s ecc %d]",
 		p.Name, p.NumNodes(), labeled, len(p.Edges()), negated, len(p.Predicates()), p.Node(pivot).Var, ecc)
 	if n.Subpattern != "" {
-		sub, _ := p.Subpattern(n.Subpattern)
-		s += fmt.Sprintf(" anchors=subpattern %q (%d of %d nodes)", n.Subpattern, len(sub), p.NumNodes())
+		s += fmt.Sprintf(" anchors=subpattern %q (%d of %d nodes)", n.Subpattern, len(anchors), p.NumNodes())
 	}
 	return s
 }
