@@ -23,10 +23,12 @@ stress:
 
 # Crash-recovery soak: scripted filesystem faults (torn writes, failed
 # fsyncs, crash-after-op) against the dynamic store, checking
-# replay-or-truncate recovery and degraded-mode serving. Set CHAOS_ITERS
+# replay-or-truncate recovery and degraded-mode serving. Runs a 1-shard
+# store (v1 log segment) and a 4-shard one (v2 segments). Set CHAOS_ITERS
 # / CHAOS_SEED to widen or reproduce a run.
 chaos:
-	./scripts/chaos_soak.sh
+	CHAOS_SHARDS=1 ./scripts/chaos_soak.sh
+	CHAOS_SHARDS=4 ./scripts/chaos_soak.sh
 
 # The one benchmark (bench/, declared in BENCHMARK.json): every workload,
 # untraced and traced, report in bench/out/. The paper-figure Go benchmarks in

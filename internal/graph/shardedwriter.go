@@ -23,21 +23,6 @@ type ShardBatch struct {
 	Ops []Op
 }
 
-// ShardWAL is the per-shard durability hook of a ShardedWriter: one epoch
-// is appended as P independent segment records (only non-empty shards
-// write), all fsynced before the publish becomes visible. An append that
-// fails on any segment must restore every segment to its prior record
-// boundary before returning, so the whole epoch can be retried; the
-// returned error should implement ShardFault to confine degraded mode to
-// the failing shard. storage.ShardedLog implements this contract.
-type ShardWAL interface {
-	WAL
-	// AppendShardBatch appends one epoch across the shard segments.
-	// totalOps is the whole batch's op count (recorded in every segment so
-	// replay can detect a torn multi-segment append).
-	AppendShardBatch(parts []ShardBatch, totalOps int) error
-}
-
 // ShardFault is implemented by WAL errors that identify the shard whose
 // segment failed, so the writer degrades only that shard. Errors without
 // it degrade every shard (the single-log case).
@@ -97,9 +82,9 @@ type swLane struct {
 // back until the stuck shard is cleared. With P = 1 the whole writer
 // degrades.
 //
-// With P = 1 the writer appends the merged batch through the plain WAL
-// interface and applies it sequentially, so the log bytes are the v1
-// single-file format.
+// With P = 1 the WAL gets one part holding the whole batch in publish
+// order, which storage.Log writes in the v1 one-segment format, and the
+// batch applies sequentially.
 //
 // All methods are safe for concurrent use. Staging and publish take
 // different locks, so ingest goroutines keep staging while a publish is
@@ -178,9 +163,8 @@ func (w *ShardedWriter) Shards() int { return w.part.Shards() }
 
 // SetWAL attaches the durability hook: every subsequent Publish appends
 // its batch before installing the snapshot, and the writer starts
-// retaining published deltas for log compaction (Barrier). A sharded
-// writer over a ShardWAL gets per-shard segment appends; otherwise the WAL
-// gets the merged batch in publish order. Attach before the first
+// retaining published deltas for log compaction (Barrier). Each batch
+// reaches the WAL split by shard (splitByLane). Attach before the first
 // publish; batches published earlier are not re-appended.
 func (w *ShardedWriter) SetWAL(wal WAL) {
 	w.pubMu.Lock()
@@ -501,43 +485,13 @@ func (w *ShardedWriter) applyWorkers() int {
 	return n
 }
 
-// appendWAL drives one batch through the WAL under the retry policy,
-// splitting it into per-shard segment records when the WAL supports them.
+// appendWAL drives one batch through the WAL under the retry policy.
 // Called with pubMu held.
 func (w *ShardedWriter) appendWAL(pub []pubOp) error {
-	swal, sharded := w.wal.(ShardWAL)
-	sharded = sharded && w.part.Enabled()
-	var parts []ShardBatch
-	var flat []Op
-	if sharded {
-		byLane := make([]ShardBatch, len(w.lanes))
-		for i := range byLane {
-			byLane[i].Shard = i
-		}
-		for idx, po := range pub {
-			b := &byLane[po.lane]
-			b.Index = append(b.Index, uint32(idx))
-			b.Ops = append(b.Ops, po.op)
-		}
-		for _, b := range byLane {
-			if len(b.Ops) > 0 {
-				parts = append(parts, b)
-			}
-		}
-	} else {
-		flat = make([]Op, len(pub))
-		for i, po := range pub {
-			flat[i] = po.op
-		}
-	}
+	parts := w.splitByLane(pub)
 	policy := w.WALRetry
-	var err error
 	for attempt := 1; ; attempt++ {
-		if sharded {
-			err = swal.AppendShardBatch(parts, len(pub))
-		} else {
-			err = w.wal.AppendBatch(flat)
-		}
+		err := w.wal.AppendShardBatch(parts, len(pub))
 		if err == nil {
 			return nil
 		}
@@ -551,6 +505,29 @@ func (w *ShardedWriter) appendWAL(pub []pubOp) error {
 			time.Sleep(d)
 		}
 	}
+}
+
+// splitByLane cuts a publish-ordered batch into one ShardBatch per lane
+// with ops, each op tagged with its batch position; with one lane that is
+// the whole batch with identity indexes.
+func (w *ShardedWriter) splitByLane(pub []pubOp) []ShardBatch {
+	slot := make([]int, len(w.lanes)) // per lane: op count, then part index
+	for _, po := range pub {
+		slot[po.lane]++
+	}
+	var parts []ShardBatch
+	for lane, n := range slot {
+		if n > 0 {
+			slot[lane] = len(parts)
+			parts = append(parts, ShardBatch{Shard: lane, Index: make([]uint32, 0, n), Ops: make([]Op, 0, n)})
+		}
+	}
+	for i, po := range pub {
+		b := &parts[slot[po.lane]]
+		b.Index = append(b.Index, uint32(i))
+		b.Ops = append(b.Ops, po.op)
+	}
+	return parts
 }
 
 // setDegraded marks the failing shard's lane (or every lane when the

@@ -152,9 +152,10 @@ func TestShardedWriterParity(t *testing.T) {
 	}
 }
 
-// TestShardedWriterWALOrdering checks the plain-WAL path appends exactly
-// the script's op sequence, one batch per epoch, and that per-shard
-// segment batches reassemble to that sequence via their batch indexes.
+// TestShardedWriterWALOrdering checks a 1-shard writer hands the WAL one
+// part per epoch holding exactly the script's op sequence with identity
+// indexes, and that per-shard parts reassemble to that sequence via their
+// batch indexes.
 func TestShardedWriterWALOrdering(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	script := randomScript(rng, 300)
@@ -163,16 +164,23 @@ func TestShardedWriterWALOrdering(t *testing.T) {
 
 	var flatS [][]Op
 	sw := NewShardedWriter(New(false), 1)
-	sw.SetWAL(walFunc(func(ops []Op) error {
-		flatS = append(flatS, append([]Op(nil), ops...))
-		return nil
-	}))
+	sw.SetWAL(&shardWALRecorder{onParts: func(parts []ShardBatch) {
+		if len(parts) != 1 || parts[0].Shard != 0 {
+			t.Fatalf("P=1 append split into %d parts", len(parts))
+		}
+		for i, idx := range parts[0].Index {
+			if idx != uint32(i) {
+				t.Fatalf("P=1 batch index %d at position %d", idx, i)
+			}
+		}
+		flatS = append(flatS, append([]Op(nil), parts[0].Ops...))
+	}})
 	runScript(t, sw, script)
 	if !reflect.DeepEqual(flatW, flatS) {
 		t.Fatalf("P=1 WAL batches diverge from the script's op sequence")
 	}
 
-	// P=4 through a ShardWAL: reassembling each epoch's segment records by
+	// P=4: reassembling each epoch's segment records by
 	// batch index must reproduce the same flat op sequence.
 	var epochs [][]Op
 	sw4 := NewShardedWriter(New(false), 4)
@@ -183,15 +191,11 @@ func TestShardedWriterWALOrdering(t *testing.T) {
 	}
 }
 
-// shardWALRecorder implements ShardWAL, reassembling each epoch's parts.
+// shardWALRecorder implements WAL, reassembling each epoch's parts.
 type shardWALRecorder struct {
+	onParts func([]ShardBatch)
 	onEpoch func([]Op)
 	fail    map[int]error
-}
-
-func (r *shardWALRecorder) AppendBatch(ops []Op) error {
-	r.onEpoch(append([]Op(nil), ops...))
-	return nil
 }
 
 func (r *shardWALRecorder) AppendShardBatch(parts []ShardBatch, totalOps int) error {
@@ -199,6 +203,9 @@ func (r *shardWALRecorder) AppendShardBatch(parts []ShardBatch, totalOps int) er
 		if err := r.fail[p.Shard]; err != nil {
 			return &segmentFault{shard: p.Shard, err: err}
 		}
+	}
+	if r.onParts != nil {
+		r.onParts(parts)
 	}
 	ops := make([]Op, totalOps)
 	seen := 0

@@ -1,12 +1,20 @@
 package graph
 
 // WAL is the durability hook a ShardedWriter calls before publishing a
-// batch: AppendBatch must make the ops durable (storage.Log implements it
-// with an fsynced append-only segment). A publish whose WAL append fails is
-// aborted — the ops stay pending and no new snapshot appears — so every
-// published epoch is recoverable by replay.
+// batch (storage.Log implements it with fsynced append-only segments). A
+// publish whose WAL append fails is aborted — the ops stay pending and no
+// new snapshot appears — so every published epoch is recoverable by
+// replay.
 type WAL interface {
-	AppendBatch(ops []Op) error
+	// AppendShardBatch makes one epoch durable as per-shard parts, one for
+	// each shard with ops; with one shard that is a single part holding the
+	// whole batch with identity indexes. totalOps is the whole batch's op
+	// count (recorded in every segment so replay can detect a torn
+	// multi-segment append). An append that fails on any part must restore
+	// every segment to its prior record boundary before returning, so the
+	// whole epoch can be retried; the error should implement ShardFault to
+	// confine degraded mode to the failing shard.
+	AppendShardBatch(parts []ShardBatch, totalOps int) error
 }
 
 // WriterStats is a point-in-time view of the writer for monitoring

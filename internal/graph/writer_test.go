@@ -347,9 +347,19 @@ func TestWriterWALOrdering(t *testing.T) {
 	}
 }
 
+// walFunc is a WAL that reassembles each epoch from its parts by batch
+// index and hands the flat batch to the func.
 type walFunc func(ops []Op) error
 
-func (f walFunc) AppendBatch(ops []Op) error { return f(ops) }
+func (f walFunc) AppendShardBatch(parts []ShardBatch, totalOps int) error {
+	ops := make([]Op, totalOps)
+	for _, p := range parts {
+		for i, op := range p.Ops {
+			ops[p.Index[i]] = op
+		}
+	}
+	return f(ops)
+}
 
 func TestWriterBackgroundCompaction(t *testing.T) {
 	g := New(false)

@@ -20,30 +20,29 @@ import (
 // log outgrows CompactAtBytes.
 //
 // The store's shard count is fixed at creation and recorded in the image
-// header. An unsharded (1-shard) store keeps the historical layout — a
-// single <base>.log sidecar in the v1 record format, byte-identical to
-// what the pre-sharding code wrote — and existing single-log stores open
-// unchanged. A P-shard store persists each epoch across P independent
-// segment files <base>.log.0 … <base>.log.P-1 (see shardlog.go), replays
-// them in parallel on open, and compacts all P together.
+// header; the mutation log has one segment per shard (see mutlog.go). An
+// unsharded (1-shard) store keeps the historical layout — a single
+// <base>.log in the v1 segment format, byte-identical to what the
+// pre-sharding code wrote — and existing single-log stores open
+// unchanged. A P-shard store persists each epoch across P segment files
+// <base>.log.0 … <base>.log.P-1, replays them in parallel on open, and
+// compacts all P together.
 //
-// Every log header carries the trailing CRC32 of the base image it
+// Every segment header carries the trailing CRC32 of the base image it
 // extends. That binding makes crash recovery around compaction
 // unambiguous: a crash between the base-image rename and the log swap
-// leaves a new image with old logs, which the CRC mismatch identifies as
-// stale — their batches are already folded into the image, so they are
-// discarded and fresh logs are started at the epoch where they ended. In
-// the sharded layout the swap is per segment, so the mismatch is resolved
-// per segment too.
+// leaves a new image with old segments, which the CRC mismatch identifies
+// as stale — their batches are already folded into the image, so they are
+// discarded and fresh segments are started at the epoch where they ended.
+// The swap is per segment, so the mismatch is resolved per segment too.
 type DynamicStore struct {
 	fsys     fault.FS
 	basePath string
-	logPath  string
 	shards   int
 	w        *graph.ShardedWriter
 
 	mu     sync.Mutex // serializes Compact and Close; publishes take the writer's own lock
-	log    mutLog
+	log    *Log
 	closed bool
 
 	compactCh chan struct{}
@@ -53,17 +52,6 @@ type DynamicStore struct {
 	// CompactAtBytes is the log size that triggers background compaction;
 	// <= 0 disables the background compactor (Compact stays available).
 	compactAtBytes int64
-}
-
-// mutLog is what DynamicStore needs from a mutation log, satisfied by
-// both the single-file *Log and the per-shard *ShardedLog.
-type mutLog interface {
-	graph.WAL
-	Records() int
-	Size() int64
-	BaseEpoch() uint64
-	LastEpoch() uint64
-	Close() error
 }
 
 // DefaultCompactAtBytes is the log size at which OpenDynamic's background
@@ -149,67 +137,28 @@ func OpenDynamicFS(fsys fault.FS, basePath string) (*DynamicStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	logPath := basePath + ".log"
-	apply := func(d graph.Delta) error {
+	log, err := OpenLogFS(fsys, basePath, baseCRC, shards, func(d graph.Delta) error {
 		for _, op := range d.Ops {
 			if err := graph.ApplyOp(g, op); err != nil {
 				return err
 			}
 		}
 		return nil
-	}
-
-	var log mutLog
-	lastEpoch := uint64(0)
-	if shards > 1 {
-		sl, err := OpenShardedLogFS(fsys, basePath, baseCRC, shards, apply)
-		if err != nil {
-			return nil, err
-		}
-		log = sl
-		lastEpoch = sl.LastEpoch()
-	} else {
-		switch _, statErr := fsys.Stat(logPath); {
-		case os.IsNotExist(statErr):
-			l, err := CreateLogFS(fsys, logPath, baseCRC, 0)
-			if err != nil {
-				return nil, err
-			}
-			log = l
-		case statErr != nil:
-			return nil, statErr
-		default:
-			l, err := OpenLogFS(fsys, logPath, baseCRC, apply)
-			if err != nil {
-				// A CRC-binding mismatch means a compaction crashed after
-				// renaming the new base image but before swapping the log:
-				// the old log's batches are already folded into the image.
-				// Discard it, but resume the epoch sequence past its last
-				// record.
-				staleCRC, staleLast, scanErr := logBaseCRCFS(fsys, logPath)
-				if scanErr != nil || staleCRC == baseCRC {
-					return nil, err
-				}
-				if l, err = CreateLogFS(fsys, logPath, baseCRC, staleLast); err != nil {
-					return nil, err
-				}
-			}
-			log = l
-			lastEpoch = l.LastEpoch()
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	ds := &DynamicStore{
 		fsys:           fsys,
 		basePath:       basePath,
-		logPath:        logPath,
 		shards:         shards,
 		log:            log,
 		compactCh:      make(chan struct{}, 1),
 		done:           make(chan struct{}),
 		compactAtBytes: DefaultCompactAtBytes,
 	}
-	ds.w = graph.NewShardedWriterAt(g, lastEpoch, shards)
+	ds.w = graph.NewShardedWriterAt(g, log.LastEpoch(), shards)
 	ds.w.SetWAL(log)
 	// Nudge the compactor after every publish; the send never blocks the
 	// publish path (the channel holds one pending nudge).
@@ -244,8 +193,9 @@ func (ds *DynamicStore) SetCompactAtBytes(n int64) {
 	ds.compactAtBytes = n
 }
 
-// LogStats reports the mutation log's current shape for monitoring. For
-// sharded stores the numbers aggregate every segment.
+// LogStats reports the mutation log's current shape for monitoring:
+// records counts the logged epochs, bytes sums every segment, and
+// baseEpoch is the oldest segment's base epoch.
 func (ds *DynamicStore) LogStats() (records int, bytes int64, baseEpoch uint64) {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
@@ -274,12 +224,15 @@ func (ds *DynamicStore) compactor() {
 // Compact folds the mutation log into the base image: the current
 // snapshot is saved atomically as the new base (with the same shard
 // count), then — under the writer's publish barrier, so no batch can slip
-// between — fresh empty logs bound to the new image replace the old ones.
-// Publishes are briefly blocked during the save; readers never are.
-// Crash-safe at every step: the image save and each log swap are
-// temp-file-plus-rename, and stale old logs left by a crash in between
-// are detected by their CRC binding on the next open — per segment in the
-// sharded layout, since the P segment renames cannot be atomic together.
+// between — fresh empty segments bound to the new image replace the old
+// ones. Publishes are briefly blocked during the save; readers never are.
+// Crash-safe at every step: the image save and each segment swap are
+// temp-file-plus-rename, and stale old segments left by a crash in
+// between are detected by their CRC binding on the next open, per
+// segment, since the P segment renames cannot be atomic together. If the
+// swap fails without a crash, the writer degrades on its next publish
+// until a later Compact succeeds (then ShardedWriter.ClearDegraded
+// re-admits the held ops).
 func (ds *DynamicStore) Compact() error {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
@@ -290,33 +243,15 @@ func (ds *DynamicStore) Compact() error {
 		if err := SaveShardedFS(ds.fsys, ds.basePath, cur.Graph(), ds.shards); err != nil {
 			return nil, err
 		}
-		newCRC, err := baseImageCRC(ds.fsys, ds.basePath)
+		// The new image is in place, so the old log now extends an image
+		// that is gone: if the fresh log cannot take over, appends to the
+		// old one would be discarded as stale on the next open. Detach it,
+		// so later publishes fail and degrade the writer instead of being
+		// acknowledged and lost; a later successful Compact installs a
+		// fresh log.
+		nl, err := ds.freshLog(cur.Epoch())
 		if err != nil {
-			return nil, err
-		}
-		if ds.shards > 1 {
-			tmpBase := ds.basePath + ".compact"
-			nl, err := CreateShardedLogFS(ds.fsys, tmpBase, newCRC, cur.Epoch(), ds.shards)
-			if err != nil {
-				return nil, err
-			}
-			if err := nl.renameSegmentsInto(ds.basePath); err != nil {
-				nl.Close()
-				nl.removeSegments()
-				return nil, err
-			}
-			ds.log.Close()
-			ds.log = nl
-			return nl, nil
-		}
-		tmp := ds.logPath + ".compact"
-		nl, err := CreateLogFS(ds.fsys, tmp, newCRC, cur.Epoch())
-		if err != nil {
-			return nil, err
-		}
-		if err := nl.renameLogInto(ds.logPath); err != nil {
-			nl.Close()
-			ds.fsys.Remove(tmp)
+			ds.log.detach(err)
 			return nil, err
 		}
 		ds.log.Close()
@@ -324,6 +259,24 @@ func (ds *DynamicStore) Compact() error {
 		return nl, nil
 	})
 	return err
+}
+
+// freshLog creates empty segments bound to the base image on disk, at
+// epoch, under a temporary base path and swaps them into place.
+func (ds *DynamicStore) freshLog(epoch uint64) (*Log, error) {
+	crc, err := baseImageCRC(ds.fsys, ds.basePath)
+	if err != nil {
+		return nil, err
+	}
+	nl, err := CreateLogFS(ds.fsys, ds.basePath+".compact", crc, epoch, ds.shards)
+	if err != nil {
+		return nil, err
+	}
+	if err := nl.swapInto(ds.basePath); err != nil {
+		nl.Close()
+		return nil, err
+	}
+	return nl, nil
 }
 
 // Close publishes nothing, stops the background compactor, and releases

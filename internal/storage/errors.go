@@ -35,7 +35,7 @@ func (st *Store) corrupt(format string, args ...any) error {
 // bounded exponential backoff before entering degraded mode; every other
 // storage failure is treated as permanent and degrades immediately.
 type TransientError struct {
-	// Op names the failed operation ("wal append", "wal sync", ...).
+	// Op names the failed operation ("wal segment append", ...).
 	Op string
 	// Path is the file the operation targeted.
 	Path string

@@ -25,6 +25,37 @@ func faultBatch(i int) []graph.Op {
 	}
 }
 
+// appendEpoch appends ops as the log's next epoch, op i on segment
+// (epoch + i*stride) mod P. Stride 0 keeps the whole epoch on one segment,
+// a single part written on the calling goroutine, so fault-occurrence
+// counts stay deterministic; stride 1 spreads it across segments.
+func appendEpoch(l *Log, ops []graph.Op, stride int) error {
+	p := len(l.segs)
+	epoch := int(l.LastEpoch() + 1)
+	byShard := make([]graph.ShardBatch, p)
+	for i, op := range ops {
+		b := &byShard[(epoch+i*stride)%p]
+		b.Index = append(b.Index, uint32(i))
+		b.Ops = append(b.Ops, op)
+	}
+	var parts []graph.ShardBatch
+	for s, b := range byShard {
+		if len(b.Ops) > 0 {
+			b.Shard = s
+			parts = append(parts, b)
+		}
+	}
+	return l.AppendShardBatch(parts, len(ops))
+}
+
+// eachShardCount runs fn over a one-shard log (v1 segment) and, as the
+// subtest "shards=4", over a four-shard one (v2 segments). The one-shard
+// run stays directly under t, so its subtests keep their names.
+func eachShardCount(t *testing.T, fn func(t *testing.T, shards int)) {
+	fn(t, 1)
+	t.Run("shards=4", func(t *testing.T) { fn(t, 4) })
+}
+
 // countingReplay returns an apply func plus the slice it fills.
 func countingReplay(got *[]graph.Delta) func(graph.Delta) error {
 	return func(d graph.Delta) error {
@@ -34,166 +65,176 @@ func countingReplay(got *[]graph.Delta) func(graph.Delta) error {
 }
 
 func TestLogFailedSyncIsTransientAndRetryable(t *testing.T) {
-	dir := t.TempDir()
-	p := filepath.Join(dir, "m.log")
-	// Sync #1 is the header fsync in CreateLogFS; #2 is the first append's.
-	inj := fault.NewInjector(fault.OS{}, 1,
-		fault.Rule{Op: fault.OpSync, Path: ".log", From: 2, Count: 1, Err: syscall.ENOSPC})
-	l, err := CreateLogFS(inj, p, 0xFEED, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = l.AppendBatch(faultBatch(1))
-	if err == nil {
-		t.Fatal("append with failing sync succeeded")
-	}
-	var te *TransientError
-	if !errors.As(err, &te) {
-		t.Fatalf("want *TransientError, got %T: %v", err, err)
-	}
-	if !graph.IsTransient(err) {
-		t.Fatalf("graph.IsTransient = false for %v", err)
-	}
-	if !errors.Is(err, syscall.ENOSPC) {
-		t.Fatalf("errors.Is(err, ENOSPC) = false for %v", err)
-	}
-	// The failed frame was truncated and the offset rewound, so the same
-	// batch retries cleanly at the same epoch.
-	if err := l.AppendBatch(faultBatch(1)); err != nil {
-		t.Fatalf("retry after transient failure: %v", err)
-	}
-	if l.Records() != 1 || l.LastEpoch() != 8 {
-		t.Fatalf("records=%d lastEpoch=%d, want 1/8", l.Records(), l.LastEpoch())
-	}
-	l.Close()
+	eachShardCount(t, func(t *testing.T, shards int) {
+		base := filepath.Join(t.TempDir(), "m")
+		// Syncs #1..#P are the header fsyncs in CreateLogFS; #P+1 is the
+		// first append's.
+		inj := fault.NewInjector(fault.OS{}, 1,
+			fault.Rule{Op: fault.OpSync, Path: ".log", From: shards + 1, Count: 1, Err: syscall.ENOSPC})
+		l, err := CreateLogFS(inj, base, 0xFEED, 7, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = appendEpoch(l, faultBatch(1), 0)
+		if err == nil {
+			t.Fatal("append with failing sync succeeded")
+		}
+		var te *TransientError
+		if !errors.As(err, &te) {
+			t.Fatalf("want *TransientError, got %T: %v", err, err)
+		}
+		if !graph.IsTransient(err) {
+			t.Fatalf("graph.IsTransient = false for %v", err)
+		}
+		if !errors.Is(err, syscall.ENOSPC) {
+			t.Fatalf("errors.Is(err, ENOSPC) = false for %v", err)
+		}
+		// The failed frame was truncated and the offset rewound, so the same
+		// batch retries cleanly at the same epoch.
+		if err := appendEpoch(l, faultBatch(1), 0); err != nil {
+			t.Fatalf("retry after transient failure: %v", err)
+		}
+		if l.Records() != 1 || l.LastEpoch() != 8 {
+			t.Fatalf("records=%d lastEpoch=%d, want 1/8", l.Records(), l.LastEpoch())
+		}
+		l.Close()
 
-	var got []graph.Delta
-	l2, err := OpenLogFS(fault.OS{}, p, 0xFEED, countingReplay(&got))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if len(got) != 1 || got[0].Epoch != 8 {
-		t.Fatalf("replayed %d records (first epoch %v), want 1 at epoch 8", len(got), got)
-	}
+		var got []graph.Delta
+		l2, err := OpenLogFS(fault.OS{}, base, 0xFEED, shards, countingReplay(&got))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l2.Close()
+		if len(got) != 1 || got[0].Epoch != 8 {
+			t.Fatalf("replayed %d records (first epoch %v), want 1 at epoch 8", len(got), got)
+		}
+	})
 }
 
 func TestLogTornWriteEveryCut(t *testing.T) {
-	const baseCRC, baseEpoch = 0xC0FFEE, 40
-	ops3 := faultBatch(3)
-	recLen := len(appendLogRecord(nil, baseEpoch+3, ops3))
-	for keep := 0; keep <= recLen; keep++ {
-		t.Run(fmt.Sprintf("keep=%d", keep), func(t *testing.T) {
-			dir := t.TempDir()
-			p := filepath.Join(dir, "m.log")
-			// Write #1 is the header; #4 is the third record. The torn
-			// prefix really reaches disk, and the rewind truncate fails too,
-			// so recovery sees exactly the crash artifact.
-			inj := fault.NewInjector(fault.OS{}, 1,
-				fault.Rule{Op: fault.OpWrite, Path: ".log", From: 4, Count: 1, Err: syscall.EIO, KeepBytes: keep},
-				fault.Rule{Op: fault.OpTruncate, Path: ".log", Err: syscall.EIO})
-			l, err := CreateLogFS(inj, p, baseCRC, baseEpoch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 1; i <= 2; i++ {
-				if err := l.AppendBatch(faultBatch(i)); err != nil {
-					t.Fatalf("append %d: %v", i, err)
+	eachShardCount(t, func(t *testing.T, shards int) {
+		const baseCRC, baseEpoch = 0xC0FFEE, 40
+		ops3 := faultBatch(3)
+		rec, err := formatFor(shards).appendRecord(nil, baseEpoch+3, len(ops3),
+			&graph.ShardBatch{Index: []uint32{0, 1}, Ops: ops3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		recLen := len(rec)
+		for keep := 0; keep <= recLen; keep++ {
+			t.Run(fmt.Sprintf("keep=%d", keep), func(t *testing.T) {
+				base := filepath.Join(t.TempDir(), "m")
+				// Writes #1..#P are the headers; #P+3 is the third record.
+				// The torn prefix really reaches disk, and the rewind
+				// truncate fails too, so recovery sees exactly the crash
+				// artifact.
+				inj := fault.NewInjector(fault.OS{}, 1,
+					fault.Rule{Op: fault.OpWrite, Path: ".log", From: shards + 3, Count: 1, Err: syscall.EIO, KeepBytes: keep},
+					fault.Rule{Op: fault.OpTruncate, Path: ".log", Err: syscall.EIO})
+				l, err := CreateLogFS(inj, base, baseCRC, baseEpoch, shards)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			if err := l.AppendBatch(ops3); err == nil {
-				t.Fatal("torn append reported success")
-			}
-			// Truncation failed, so the log marks itself broken rather than
-			// risk appending after a partial frame.
-			if err := l.AppendBatch(faultBatch(4)); err == nil {
-				t.Fatal("append after unrecoverable tear succeeded")
-			}
-			l.Close()
+				for i := 1; i <= 2; i++ {
+					if err := appendEpoch(l, faultBatch(i), 0); err != nil {
+						t.Fatalf("append %d: %v", i, err)
+					}
+				}
+				if err := appendEpoch(l, ops3, 0); err == nil {
+					t.Fatal("torn append reported success")
+				}
+				// Truncation failed, so the segment marks itself broken
+				// rather than risk appending after a partial frame.
+				if err := appendEpoch(l, faultBatch(4), 0); err == nil {
+					t.Fatal("append after unrecoverable tear succeeded")
+				}
+				l.Close()
 
-			wantRecs, wantEpoch := 2, uint64(baseEpoch+2)
-			if keep == recLen {
-				// The full frame reached disk before the error: recovery
-				// must replay it (replay branch of replay-or-truncate).
-				wantRecs, wantEpoch = 3, baseEpoch+3
-			}
-			var got []graph.Delta
-			l2, err := OpenLogFS(fault.OS{}, p, baseCRC, countingReplay(&got))
-			if err != nil {
-				t.Fatalf("recovery open: %v", err)
-			}
-			if len(got) != wantRecs || l2.Records() != wantRecs || l2.LastEpoch() != wantEpoch {
-				t.Fatalf("recovered %d deltas (log: %d records, last epoch %d), want %d/%d",
-					len(got), l2.Records(), l2.LastEpoch(), wantRecs, wantEpoch)
-			}
-			for i, d := range got {
-				if d.Epoch != uint64(baseEpoch+1+i) {
-					t.Fatalf("delta %d has epoch %d, want %d", i, d.Epoch, baseEpoch+1+i)
+				wantRecs, wantEpoch := 2, uint64(baseEpoch+2)
+				if keep == recLen {
+					// The full frame reached disk before the error: recovery
+					// must replay it (replay branch of replay-or-truncate).
+					wantRecs, wantEpoch = 3, baseEpoch+3
 				}
-			}
-			// The recovered log is positioned at a clean boundary: appends
-			// resume the epoch sequence.
-			if err := l2.AppendBatch(faultBatch(9)); err != nil {
-				t.Fatalf("append after recovery: %v", err)
-			}
-			if l2.Records() != wantRecs+1 || l2.LastEpoch() != wantEpoch+1 {
-				t.Fatalf("post-recovery append: records=%d lastEpoch=%d", l2.Records(), l2.LastEpoch())
-			}
-			l2.Close()
-		})
-	}
+				var got []graph.Delta
+				l2, err := OpenLogFS(fault.OS{}, base, baseCRC, shards, countingReplay(&got))
+				if err != nil {
+					t.Fatalf("recovery open: %v", err)
+				}
+				if len(got) != wantRecs || l2.Records() != wantRecs || l2.LastEpoch() != wantEpoch {
+					t.Fatalf("recovered %d deltas (log: %d records, last epoch %d), want %d/%d",
+						len(got), l2.Records(), l2.LastEpoch(), wantRecs, wantEpoch)
+				}
+				for i, d := range got {
+					if d.Epoch != uint64(baseEpoch+1+i) {
+						t.Fatalf("delta %d has epoch %d, want %d", i, d.Epoch, baseEpoch+1+i)
+					}
+				}
+				// The recovered log is positioned at a clean boundary:
+				// appends resume the epoch sequence.
+				if err := appendEpoch(l2, faultBatch(9), 0); err != nil {
+					t.Fatalf("append after recovery: %v", err)
+				}
+				if l2.Records() != wantRecs+1 || l2.LastEpoch() != wantEpoch+1 {
+					t.Fatalf("post-recovery append: records=%d lastEpoch=%d", l2.Records(), l2.LastEpoch())
+				}
+				l2.Close()
+			})
+		}
+	})
 }
 
 func TestLogSyncFailureHaltKeepsDurableRecord(t *testing.T) {
-	dir := t.TempDir()
-	p := filepath.Join(dir, "m.log")
-	// The third append's write completes, its fsync fails, and the process
-	// dies before the truncate can undo anything: the frame's bytes are on
-	// disk, so recovery legitimately replays an epoch the writer never
-	// acknowledged. This is why crash recovery accepts epoch last+1.
-	inj := fault.NewInjector(fault.OS{}, 1,
-		fault.Rule{Op: fault.OpSync, Path: ".log", From: 4, Count: 1, Err: syscall.EIO, Halt: true})
-	l, err := CreateLogFS(inj, p, 0xBEEF, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 2; i++ {
-		if err := l.AppendBatch(faultBatch(i)); err != nil {
-			t.Fatalf("append %d: %v", i, err)
+	eachShardCount(t, func(t *testing.T, shards int) {
+		base := filepath.Join(t.TempDir(), "m")
+		// The third append's write completes, its fsync fails, and the
+		// process dies before the truncate can undo anything: the frame's
+		// bytes are on disk, so recovery legitimately replays an epoch the
+		// writer never acknowledged. This is why crash recovery accepts
+		// epoch last+1. Syncs #1..#P are the headers'.
+		inj := fault.NewInjector(fault.OS{}, 1,
+			fault.Rule{Op: fault.OpSync, Path: ".log", From: shards + 3, Count: 1, Err: syscall.EIO, Halt: true})
+		l, err := CreateLogFS(inj, base, 0xBEEF, 0, shards)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	err = l.AppendBatch(faultBatch(3))
-	if err == nil {
-		t.Fatal("append with halted filesystem succeeded")
-	}
-	if graph.IsTransient(err) {
-		t.Fatalf("unrecoverable tear classified transient: %v", err)
-	}
-	if !inj.Halted() {
-		t.Fatal("injector did not halt")
-	}
-	l.Close()
+		for i := 1; i <= 2; i++ {
+			if err := appendEpoch(l, faultBatch(i), 0); err != nil {
+				t.Fatalf("append %d: %v", i, err)
+			}
+		}
+		err = appendEpoch(l, faultBatch(3), 0)
+		if err == nil {
+			t.Fatal("append with halted filesystem succeeded")
+		}
+		if graph.IsTransient(err) {
+			t.Fatalf("unrecoverable tear classified transient: %v", err)
+		}
+		if !inj.Halted() {
+			t.Fatal("injector did not halt")
+		}
+		l.Close()
 
-	var got []graph.Delta
-	l2, err := OpenLogFS(fault.OS{}, p, 0xBEEF, countingReplay(&got))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if len(got) != 3 || l2.LastEpoch() != 3 {
-		t.Fatalf("recovered %d records, last epoch %d; want the durable-but-unacked record replayed (3/3)",
-			len(got), l2.LastEpoch())
-	}
+		var got []graph.Delta
+		l2, err := OpenLogFS(fault.OS{}, base, 0xBEEF, shards, countingReplay(&got))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l2.Close()
+		if len(got) != 3 || l2.LastEpoch() != 3 {
+			t.Fatalf("recovered %d records, last epoch %d; want the durable-but-unacked record replayed (3/3)",
+				len(got), l2.LastEpoch())
+		}
+	})
 }
 
 func TestWriterRetriesTransientWALFailures(t *testing.T) {
-	dir := t.TempDir()
-	p := filepath.Join(dir, "m.log")
+	base := filepath.Join(t.TempDir(), "m")
 	// Syncs #2 and #3 (the first two append attempts) fail with ENOSPC;
 	// attempt three lands. The publish must succeed without degrading.
 	inj := fault.NewInjector(fault.OS{}, 1,
 		fault.Rule{Op: fault.OpSync, Path: ".log", From: 2, Count: 2, Err: syscall.ENOSPC})
-	l, err := CreateLogFS(inj, p, 0xAB, 0)
+	l, err := CreateLogFS(inj, base, 0xAB, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,11 +263,10 @@ func TestWriterRetriesTransientWALFailures(t *testing.T) {
 }
 
 func TestWriterDegradesOnPermanentWALFailure(t *testing.T) {
-	dir := t.TempDir()
-	p := filepath.Join(dir, "m.log")
+	base := filepath.Join(t.TempDir(), "m")
 	inj := fault.NewInjector(fault.OS{}, 1,
 		fault.Rule{Op: fault.OpSync, Path: ".log", From: 2, Err: syscall.EIO})
-	l, err := CreateLogFS(inj, p, 0xAB, 0)
+	l, err := CreateLogFS(inj, base, 0xAB, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +320,7 @@ func TestWriterDegradesOnPermanentWALFailure(t *testing.T) {
 	l.Close()
 
 	var got []graph.Delta
-	l2, err := OpenLogFS(fault.OS{}, p, 0xAB, countingReplay(&got))
+	l2, err := OpenLogFS(fault.OS{}, base, 0xAB, 1, countingReplay(&got))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,18 +356,22 @@ func TestSaveToleratesDirectorySyncFailure(t *testing.T) {
 }
 
 // FuzzMutlogFaultRecovery crashes the filesystem at a fuzzed point while
-// appending and asserts the recovery invariants: OpenLogFS never panics,
-// replays every fsynced record, at most one unacknowledged-but-durable
-// record beyond that, keeps epochs contiguous, and leaves the log
-// appendable.
+// appending to a log of a fuzzed shard count (1-4, so both segment
+// formats) and asserts the recovery invariants: OpenLogFS never panics,
+// replays every fsynced epoch, at most one unacknowledged-but-durable
+// epoch beyond that, keeps epochs contiguous, and leaves the log
+// appendable. Epochs spread their ops across segments, so a crash can
+// also land between the segment writes of one epoch.
 func FuzzMutlogFaultRecovery(f *testing.F) {
-	f.Add(int64(1), uint8(4), uint8(10), false)
-	f.Add(int64(2), uint8(2), uint8(0), true)
-	f.Add(int64(3), uint8(5), uint8(200), true)
-	f.Add(int64(4), uint8(1), uint8(3), false)
-	f.Fuzz(func(t *testing.T, seed int64, occ, keep uint8, syncFail bool) {
-		dir := t.TempDir()
-		p := filepath.Join(dir, "f.log")
+	f.Add(int64(1), uint8(4), uint8(10), false, uint8(0))
+	f.Add(int64(2), uint8(2), uint8(0), true, uint8(0))
+	f.Add(int64(3), uint8(5), uint8(200), true, uint8(0))
+	f.Add(int64(4), uint8(1), uint8(3), false, uint8(0))
+	f.Add(int64(5), uint8(7), uint8(12), false, uint8(3))
+	f.Add(int64(6), uint8(6), uint8(0), true, uint8(2))
+	f.Fuzz(func(t *testing.T, seed int64, occ, keep uint8, syncFail bool, shardSel uint8) {
+		shards := int(shardSel%4) + 1
+		base := filepath.Join(t.TempDir(), "f")
 		op := fault.OpWrite
 		if syncFail {
 			op = fault.OpSync
@@ -336,43 +380,43 @@ func FuzzMutlogFaultRecovery(f *testing.F) {
 			fault.Rule{Op: op, Path: ".log", From: int(occ%8) + 1, Count: 1, Err: syscall.EIO, KeepBytes: int(keep), Halt: true},
 			fault.Rule{Op: fault.OpTruncate, Path: ".log", Err: syscall.EIO})
 		const baseCRC, baseEpoch = 0x5EED, 3
-		l, err := CreateLogFS(inj, p, baseCRC, baseEpoch)
+		l, err := CreateLogFS(inj, base, baseCRC, baseEpoch, shards)
 		if err != nil {
-			// The crash hit the header write: there is no log to recover.
+			// The crash hit a header write: there is no log to recover.
 			return
 		}
 		appended := 0
 		for i := 0; i < 4; i++ {
-			if err := l.AppendBatch(faultBatch(i)); err == nil {
+			if err := appendEpoch(l, faultBatch(i), 1); err == nil {
 				appended++
 			}
 		}
 		l.Close()
 
 		recovered := 0
-		l2, err := OpenLogFS(fault.OS{}, p, baseCRC, func(graph.Delta) error { recovered++; return nil })
+		l2, err := OpenLogFS(fault.OS{}, base, baseCRC, shards, func(graph.Delta) error { recovered++; return nil })
 		if err != nil {
-			t.Fatalf("recovery failed (seed=%d occ=%d keep=%d sync=%v): %v", seed, occ, keep, syncFail, err)
+			t.Fatalf("recovery failed (seed=%d occ=%d keep=%d sync=%v shards=%d): %v", seed, occ, keep, syncFail, shards, err)
 		}
 		if recovered < appended || recovered > appended+1 {
-			t.Fatalf("recovered %d records from %d acknowledged appends", recovered, appended)
+			t.Fatalf("recovered %d epochs from %d acknowledged appends", recovered, appended)
 		}
 		if l2.Records() != recovered || l2.LastEpoch() != baseEpoch+uint64(recovered) {
 			t.Fatalf("log records=%d lastEpoch=%d after recovering %d", l2.Records(), l2.LastEpoch(), recovered)
 		}
-		if err := l2.AppendBatch(faultBatch(9)); err != nil {
+		if err := appendEpoch(l2, faultBatch(9), 1); err != nil {
 			t.Fatalf("append after recovery: %v", err)
 		}
 		l2.Close()
 
 		final := 0
-		l3, err := OpenLogFS(fault.OS{}, p, baseCRC, func(graph.Delta) error { final++; return nil })
+		l3, err := OpenLogFS(fault.OS{}, base, baseCRC, shards, func(graph.Delta) error { final++; return nil })
 		if err != nil {
 			t.Fatal(err)
 		}
 		l3.Close()
 		if final != recovered+1 {
-			t.Fatalf("after post-recovery append: %d records, want %d", final, recovered+1)
+			t.Fatalf("after post-recovery append: %d epochs, want %d", final, recovered+1)
 		}
 	})
 }

@@ -1,10 +1,12 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"egocensus/internal/fault"
@@ -131,14 +133,15 @@ func TestDynamicCrashTornTail(t *testing.T) {
 	{
 		// The first publish produced record 1; its frame length can be
 		// recomputed by scanning from the header.
-		deltas, validLen, err := scanLogRecords(base+".log", full[logHeaderSize:], 0)
+		hdr := formatV1.headerSize()
+		deltas, validLen, err := formatV1.scanRecords(base+".log", full[hdr:], 0)
 		if err != nil || len(deltas) != 2 {
 			t.Fatalf("scan: %v (%d records)", err, len(deltas))
 		}
 		_ = validLen
 		// Rescan with only the first record's bytes to find its end.
-		for cut := int64(logHeaderSize) + 1; cut < int64(len(full)); cut++ {
-			d, _, err := scanLogRecords(base+".log", full[logHeaderSize:cut], 0)
+		for cut := int64(hdr) + 1; cut < int64(len(full)); cut++ {
+			d, _, err := formatV1.scanRecords(base+".log", full[hdr:cut], 0)
 			if err == nil && len(d) == 1 {
 				lastStart = cut
 				break
@@ -320,17 +323,99 @@ func TestLogEncodeDecodeRoundTrip(t *testing.T) {
 		{Kind: graph.OpSetNodeAttr, A: 1, Key: "k", Val: ""},
 		{Kind: graph.OpSetEdgeAttr, A: 0, Key: "", Val: "v"},
 	}
-	rec := appendLogRecord(nil, 42, ops)
-	deltas, n, err := scanLogRecords("mem", rec, 41)
-	if err != nil || n != len(rec) || len(deltas) != 1 {
-		t.Fatalf("scan: %v n=%d deltas=%d", err, n, len(deltas))
+	index := []uint32{0, 1, 2, 3, 4}
+	for _, f := range []segFormat{formatV1, formatV2} {
+		rec, err := f.appendRecord(nil, 42, len(ops), &graph.ShardBatch{Index: index, Ops: ops})
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, n, err := f.scanRecords("mem", rec, 41)
+		if err != nil || n != len(rec) || len(recs) != 1 {
+			t.Fatalf("format %d scan: %v n=%d records=%d", f, err, n, len(recs))
+		}
+		if recs[0].epoch != 42 || recs[0].totalOps != len(ops) || len(recs[0].ops) != len(ops) {
+			t.Fatalf("format %d decoded %+v", f, recs[0])
+		}
+		for i, op := range recs[0].ops {
+			if op != ops[i] || recs[0].index[i] != index[i] {
+				t.Fatalf("format %d op %d: %+v at %d != %+v", f, i, op, recs[0].index[i], ops[i])
+			}
+		}
 	}
-	if deltas[0].Epoch != 42 || len(deltas[0].Ops) != len(ops) {
-		t.Fatalf("decoded %+v", deltas[0])
-	}
-	for i, op := range deltas[0].Ops {
-		if op != ops[i] {
-			t.Fatalf("op %d: %+v != %+v", i, op, ops[i])
+
+	// Golden segments, written byte by byte from the format comment in
+	// mutlog.go rather than produced by the encoder under test; the CRCs
+	// are CRC-32 (IEEE) of the payload bytes.
+	golden := []struct {
+		format         segFormat
+		shard, shards  int
+		totalOps       int
+		part           graph.ShardBatch
+		header, record []byte
+	}{{
+		format: formatV1, shard: 0, shards: 1, totalOps: 2,
+		part: graph.ShardBatch{Index: []uint32{0, 1}, Ops: []graph.Op{
+			{Kind: graph.OpAddEdge, A: 3, B: 7},
+			{Kind: graph.OpSetLabel, A: 2, Val: "ab"},
+		}},
+		header: []byte{
+			'E', 'G', 'O', 'L', 'v', '1',
+			0xAA, 0xBB, 0xCC, 0xDD, // base-image CRC
+			41, 0, 0, 0, 0, 0, 0, 0, // base epoch
+		},
+		record: []byte{
+			40, 0, 0, 0, // payload length
+			42, 0, 0, 0, 0, 0, 0, 0, // epoch
+			2, 0, 0, 0, // count
+			2, 3, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, // AddEdge 3->7, "", ""
+			3, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 'a', 'b', // SetLabel 2, "", "ab"
+			0xB3, 0xE1, 0x1B, 0x5F, // CRC32(payload)
+		},
+	}, {
+		format: formatV2, shard: 1, shards: 2, totalOps: 3,
+		part: graph.ShardBatch{Shard: 1, Index: []uint32{0, 2}, Ops: []graph.Op{
+			{Kind: graph.OpAddEdge, A: 3, B: 7},
+			{Kind: graph.OpSetNodeAttr, A: 5, Key: "k", Val: "v"},
+		}},
+		header: []byte{
+			'E', 'G', 'O', 'L', 'v', '2',
+			0xAA, 0xBB, 0xCC, 0xDD, // base-image CRC
+			41, 0, 0, 0, 0, 0, 0, 0, // base epoch
+			1, 0, 0, 0, // shard
+			2, 0, 0, 0, // shard count
+		},
+		record: []byte{
+			52, 0, 0, 0, // payload length
+			42, 0, 0, 0, 0, 0, 0, 0, // epoch
+			3, 0, 0, 0, // totalOps
+			2, 0, 0, 0, // count
+			0, 0, 0, 0, 2, 3, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, // [0] AddEdge 3->7, "", ""
+			2, 0, 0, 0, 4, 5, 0, 0, 0, 0, 0, 0, 0, 1, 0, 'k', 1, 0, 'v', // [2] SetNodeAttr 5, "k", "v"
+			0x85, 0xAC, 0xCE, 0x54, // CRC32(payload)
+		},
+	}}
+	for _, g := range golden {
+		if got := g.format.header(0xDDCCBBAA, 41, g.shard, g.shards); !bytes.Equal(got, g.header) {
+			t.Fatalf("format %d header:\n got % x\nwant % x", g.format, got, g.header)
+		}
+		crc, baseEpoch, err := g.format.parseHeader("mem", g.header, g.shard)
+		if err != nil || crc != 0xDDCCBBAA || baseEpoch != 41 {
+			t.Fatalf("format %d header decode: crc=%08x base=%d err=%v", g.format, crc, baseEpoch, err)
+		}
+		rec, err := g.format.appendRecord(nil, 42, g.totalOps, &g.part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(rec, g.record) {
+			t.Fatalf("format %d record:\n got % x\nwant % x", g.format, rec, g.record)
+		}
+		recs, n, err := g.format.scanRecords("mem", g.record, 41)
+		if err != nil || n != len(g.record) || len(recs) != 1 {
+			t.Fatalf("format %d golden scan: %v n=%d records=%d", g.format, err, n, len(recs))
+		}
+		r := recs[0]
+		if r.epoch != 42 || r.totalOps != g.totalOps || !reflect.DeepEqual(r.index, g.part.Index) || !reflect.DeepEqual(r.ops, g.part.Ops) {
+			t.Fatalf("format %d golden decode: %+v", g.format, r)
 		}
 	}
 }

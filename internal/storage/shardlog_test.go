@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 
@@ -90,7 +91,7 @@ func TestShardedDynamicCreateReplayParity(t *testing.T) {
 
 // TestShardedOneShardByteIdentity pins the compatibility contract: a
 // 1-shard store's image and log bytes are exactly a plain image plus the
-// v1 log of its batches, so pre-sharding stores and 1-shard stores are
+// v1 segment of its batches, so pre-sharding stores and 1-shard stores are
 // interchangeable on disk.
 func TestShardedOneShardByteIdentity(t *testing.T) {
 	dir := t.TempDir()
@@ -107,7 +108,7 @@ func TestShardedOneShardByteIdentity(t *testing.T) {
 
 	// The reference pipeline, with no writer involved: an identical base
 	// image, and the batches publishShardBatches stages (re-derived from
-	// the same seed) appended directly through the v1 log.
+	// the same seed) appended directly through a 1-shard log.
 	if err := Save(plainBase, seedShardGraph()); err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestShardedOneShardByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := CreateLogFS(fault.OS{}, plainBase+".log", crc, 0)
+	l, err := CreateLogFS(fault.OS{}, plainBase, crc, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,14 +125,14 @@ func TestShardedOneShardByteIdentity(t *testing.T) {
 		nodes := int32(seedShardGraph().NumNodes() + 2*b)
 		pick := func() int32 { return int32(rng.Intn(int(nodes))) }
 		to1, to2, labeled, attred := pick(), pick(), pick(), pick()
-		if err := l.AppendBatch([]graph.Op{
+		if err := appendEpoch(l, []graph.Op{
 			{Kind: graph.OpAddNode},
 			{Kind: graph.OpAddNode},
 			{Kind: graph.OpAddEdge, A: nodes, B: to1},
 			{Kind: graph.OpAddEdge, A: nodes + 1, B: to2},
 			{Kind: graph.OpSetLabel, A: labeled, Val: fmt.Sprintf("l%d", b%3)},
 			{Kind: graph.OpSetNodeAttr, A: attred, Key: "b", Val: fmt.Sprintf("%d", b)},
-		}); err != nil {
+		}, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -192,12 +193,12 @@ func TestShardedTornMultiSegmentAppend(t *testing.T) {
 	// tear bytes off its tail.
 	torn := false
 	for s := 0; s < shards; s++ {
-		path := segPath(base, s)
+		path := segPath(base, s, shards)
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs, _, err := scanSegmentRecords(path, data[segHeaderSize:], 0)
+		recs, _, err := formatV2.scanRecords(path, data[formatV2.headerSize():], 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,7 +251,7 @@ func TestShardedStaleSegmentRecovery(t *testing.T) {
 	// Keep pre-compaction copies of every segment.
 	stale := make([][]byte, shards)
 	for s := range stale {
-		if stale[s], err = os.ReadFile(segPath(base, s)); err != nil {
+		if stale[s], err = os.ReadFile(segPath(base, s, shards)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -261,7 +262,7 @@ func TestShardedStaleSegmentRecovery(t *testing.T) {
 	ds.Close()
 
 	// "Un-swap" one segment: its header CRC binds the old image.
-	if err := os.WriteFile(segPath(base, 2), stale[2], 0o644); err != nil {
+	if err := os.WriteFile(segPath(base, 2, shards), stale[2], 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -294,7 +295,7 @@ func TestShardedMidHoleIsCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := CreateShardedLogFS(fault.OS{}, base, crc, 0, 3)
+	l, err := CreateLogFS(fault.OS{}, base, crc, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,11 +308,11 @@ func TestShardedMidHoleIsCorrupt(t *testing.T) {
 	}
 	l.Close()
 	// Cut shard 1's only record: epoch 2 vanishes mid-sequence.
-	data, err := os.ReadFile(segPath(base, 1))
+	data, err := os.ReadFile(segPath(base, 1, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(segPath(base, 1), int64(len(data)-4)); err != nil {
+	if err := os.Truncate(segPath(base, 1, 3), int64(len(data)-4)); err != nil {
 		t.Fatal(err)
 	}
 	_, err = OpenDynamic(base)
@@ -467,5 +468,143 @@ func TestShardCountRoundTrip(t *testing.T) {
 	}
 	if _, err := CreateDynamicSharded(filepath.Join(dir, "over.egoc"), seedShardGraph(), MaxShards+1); err == nil {
 		t.Fatal("shard count beyond the header field was accepted")
+	}
+}
+
+// reopenCopy opens a copy of the store's directory as a crash at this
+// instant would leave it, and returns the recovered epoch and state.
+func reopenCopy(t *testing.T, base string) (uint64, string) {
+	t.Helper()
+	src, dst := filepath.Dir(base), t.TempDir()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ds, err := OpenDynamic(filepath.Join(dst, filepath.Base(base)))
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer ds.Close()
+	return ds.Snapshot().Epoch(), fingerprintDyn(ds.Snapshot().Graph())
+}
+
+// TestDynamicLongStringRefused publishes a value longer than a log string
+// can hold: the publish must fail before anything is acknowledged, and
+// the store must reopen at the previous epoch and state.
+func TestDynamicLongStringRefused(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("P%d", shards), func(t *testing.T) {
+			base := filepath.Join(t.TempDir(), "g.egoc")
+			ds, err := CreateDynamicSharded(base, seedShardGraph(), shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ds.SetCompactAtBytes(0)
+			last := publishShardBatches(t, ds, 3, 2)
+			want := fingerprintDyn(ds.Snapshot().Graph())
+			w := ds.Writer()
+			w.SetNodeAttr(1, "k", strings.Repeat("x", 70000))
+			_, err = w.Publish()
+			if err == nil {
+				t.Fatal("publish of a 70000-byte value was acknowledged")
+			}
+			if graph.IsTransient(err) || !strings.Contains(err.Error(), "70000-byte string") {
+				t.Fatalf("want a permanent error naming the op, got %v", err)
+			}
+			if got := ds.Snapshot().Epoch(); got != last {
+				t.Fatalf("snapshot advanced to epoch %d past a refused publish", got)
+			}
+			ds.Close()
+
+			ds2, err := OpenDynamic(base)
+			if err != nil {
+				t.Fatalf("reopen after refused publish: %v", err)
+			}
+			defer ds2.Close()
+			if got := ds2.Snapshot().Epoch(); got != last {
+				t.Fatalf("recovered epoch %d want %d", got, last)
+			}
+			if got := fingerprintDyn(ds2.Snapshot().Graph()); got != want {
+				t.Fatalf("recovered state diverges:\ngot:\n%s\nwant:\n%s", got, want)
+			}
+			if err := ds2.Compact(); err != nil {
+				t.Fatalf("compaction after refused publish: %v", err)
+			}
+		})
+	}
+}
+
+// TestDynamicFailedCompactSwapKeepsAcknowledged fails the log swap of a
+// compaction after the new base image is in place. Publishes after it
+// must not be acknowledged onto the old log (a reopen would discard them
+// as stale), a crash at any point must recover the last acknowledged
+// state, and a later successful compaction plus ClearDegraded must
+// publish the held ops.
+func TestDynamicFailedCompactSwapKeepsAcknowledged(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		shards int
+		rename string // path fragment of the failing rename
+	}{{"P1", 1, ".egoc.log"}, {"P4", 4, ".egoc.log"}, {"P4-segment1", 4, ".egoc.log.1"}} {
+		t.Run(tc.name, func(t *testing.T) {
+			inj := fault.NewInjector(fault.OS{}, 1)
+			base := filepath.Join(t.TempDir(), "g.egoc")
+			ds, err := CreateDynamicShardedFS(inj, base, seedShardGraph(), tc.shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ds.Close()
+			ds.SetCompactAtBytes(0)
+			w := ds.Writer()
+			ackEpoch := publishShardBatches(t, ds, 21, 2)
+			ackFP := fingerprintDyn(ds.Snapshot().Graph())
+			checkReopen := func(stage string) {
+				t.Helper()
+				epoch, fp := reopenCopy(t, base)
+				if epoch != ackEpoch || fp != ackFP {
+					t.Fatalf("%s: reopened at epoch %d (same state: %v), last acknowledged epoch %d",
+						stage, epoch, fp == ackFP, ackEpoch)
+				}
+			}
+
+			inj.SetRules(fault.Rule{Op: fault.OpRename, Path: tc.rename, Err: syscall.EIO})
+			if err := ds.Compact(); err == nil {
+				t.Fatal("compaction succeeded with a failing log rename")
+			}
+			checkReopen("after the failed swap")
+			for b := 0; b < 3; b++ {
+				n := w.AddNode()
+				w.AddEdge(n, 0)
+				w.SetLabel(n, fmt.Sprintf("late%d", b))
+				if snap, err := w.Publish(); err == nil {
+					ackEpoch, ackFP = snap.Epoch(), fingerprintDyn(snap.Graph())
+				}
+				checkReopen(fmt.Sprintf("after publish %d", b))
+			}
+
+			inj.ClearRules()
+			if err := ds.Compact(); err != nil {
+				t.Fatalf("compaction on a healthy disk: %v", err)
+			}
+			w.ClearDegraded()
+			snap, err := w.Publish()
+			if err != nil {
+				t.Fatalf("publish after recovery: %v", err)
+			}
+			if w.Pending() != 0 || snap.NumNodes() != 15 {
+				t.Fatalf("held ops not published: %d pending, %d nodes", w.Pending(), snap.NumNodes())
+			}
+			ackEpoch, ackFP = snap.Epoch(), fingerprintDyn(snap.Graph())
+			checkReopen("after recovery")
+		})
 	}
 }
