@@ -104,10 +104,6 @@ var (
 type (
 	// Matcher finds pattern embeddings in a graph.
 	Matcher = match.Matcher
-	// MaskedMatcher is a Matcher that can restrict matching to a node
-	// subset in place on the parent graph; the node-driven census drivers
-	// use it to avoid extracting neighborhood subgraphs.
-	MaskedMatcher = match.MaskedMatcher
 	// CN is the paper's candidate-neighbor matching algorithm
 	// (Algorithm 1).
 	CN = match.CN
@@ -133,7 +129,8 @@ type (
 	PairSpec = core.PairSpec
 	// Pair is an unordered node pair in canonical order.
 	Pair = core.Pair
-	// Options tunes algorithm internals (centers, clustering, matcher).
+	// Options tunes algorithm internals (centers, clustering, workers,
+	// limits).
 	Options = core.Options
 	// Result holds per-node census counts.
 	Result = core.Result

@@ -187,19 +187,15 @@ func TestEngineCancelTypedError(t *testing.T) {
 	}
 }
 
-// panicMatcher simulates a bug inside match enumeration.
-type panicMatcher struct{}
-
-func (panicMatcher) Name() string { return "PANIC" }
-func (panicMatcher) Embeddings(*graph.Graph, *pattern.Pattern) []pattern.Match {
-	panic("boom: injected matcher failure")
-}
-
+// TestEnginePanicToInternalError simulates a bug inside the global match,
+// which runs on the coordinating goroutine, and checks that runPipeline
+// converts the panic into an *InternalError with its context.
 func TestEnginePanicToInternalError(t *testing.T) {
+	globalMatchHook = func() { panic("boom: injected matcher failure") }
+	t.Cleanup(func() { globalMatchHook = nil })
 	g := gen.ErdosRenyi(50, 120, 2)
 	e := NewEngine(g)
 	e.Alg = PTBas
-	e.Opt.Matcher = panicMatcher{}
 	_, err := e.Execute(`
 		PATTERN t { ?A-?B; ?B-?C; ?A-?C; }
 		SELECT ID, COUNTP(t, SUBGRAPH(ID, 1)) FROM nodes;`)

@@ -132,9 +132,6 @@ func (s Spec) focalSet(g *graph.Graph) []bool {
 // Options tunes algorithm internals. The zero value reproduces the paper's
 // defaults.
 type Options struct {
-	// Matcher finds pattern matches; nil means the CN algorithm.
-	Matcher match.Matcher
-
 	// NumCenters is the number of high-degree centers for PT-OPT/PT-RND
 	// (paper default 12). Negative disables centers entirely.
 	NumCenters int
@@ -202,27 +199,6 @@ func (o Options) focalAffinity(focal []graph.NodeID) *affinity {
 
 func (o Options) workers() int { return EffectiveWorkers(o.Workers) }
 
-func (o Options) matcher() match.Matcher {
-	if o.Matcher == nil {
-		return match.CN{}
-	}
-	return o.Matcher
-}
-
-// matcherFor returns the configured matcher with the guard's stop callback
-// injected when both the guard and the matcher support it, so cancellation
-// reaches into match enumeration instead of waiting for it to finish.
-func (o Options) matcherFor(gd *guard) match.Matcher {
-	m := o.matcher()
-	if gd == nil {
-		return m
-	}
-	if s, ok := m.(match.Stoppable); ok {
-		return s.WithStop(gd.stopFunc())
-	}
-	return m
-}
-
 func (o Options) numCenters() int {
 	if o.NumCenters < 0 {
 		return 0
@@ -248,10 +224,9 @@ type Result struct {
 	// NumMatches is |M|, the global number of pattern matches found (0 for
 	// ND-BAS, which never materializes the global match set).
 	NumMatches int
-	// Embeddings is the number of embeddings the matcher emitted to find
-	// those matches (0 where NumMatches is). CN's symmetry breaking
-	// emits one per match for COUNTP; a matcher that emits every
-	// automorphic image reports |Aut| per match.
+	// Embeddings is the number of embeddings CN emitted to find those
+	// matches (0 where NumMatches is). CN's symmetry breaking emits one
+	// per match for COUNTP.
 	Embeddings int
 }
 
@@ -302,33 +277,24 @@ func countGuarded(g *graph.Graph, spec Spec, alg Algorithm, opt Options, gd *gua
 }
 
 // globalMatchesGuarded finds the set M of matches of the spec's pattern
-// in g, in lexicographic order, plus the number of embeddings the
-// matcher emitted to find it. A match.SetMatcher (CN) returns the set
-// directly and extracts on opt's workers; other matchers' embeddings are
-// deduplicated here. Under a guard, enumeration aborts within one check
-// epoch of a stop, and the match set is charged against the MaxMatches
-// and MemoryBudget limits; a nil guard checks nothing and never fails.
+// in g, in lexicographic order, plus the number of embeddings CN emitted
+// to find it; CN extracts on opt's workers. Under a guard, enumeration
+// aborts within one check epoch of a stop, and the match set is charged
+// against the MaxMatches and MemoryBudget limits; a nil guard checks
+// nothing and never fails.
 func globalMatchesGuarded(g *graph.Graph, spec Spec, opt Options, gd *guard) ([]pattern.Match, int, error) {
-	m := opt.matcherFor(gd)
-	var matches []pattern.Match
-	var embeddings int
-	if sm, ok := m.(match.SetMatcher); ok {
-		workers := opt.workers()
-		matches, embeddings = sm.Matches(g, spec.Pattern, spec.subNodesForKey(), match.Scheduler{
-			Workers: workers,
-			// The matcher polls the guard itself; scheduling without it
-			// keeps root candidates out of the focal progress counters.
-			ForEach: func(n int, cost func(int) int64, body func(w, i int)) {
-				parallelForWorkerCost(nil, workers, n, cost, body)
-			},
-		})
-	} else {
-		emb := m.Embeddings(g, spec.Pattern)
-		if gd.stopped() {
-			return nil, 0, gd.failure(nil, nil)
-		}
-		matches, embeddings = match.Deduplicate(spec.Pattern, emb, spec.subNodesForKey()), len(emb)
+	if globalMatchHook != nil {
+		globalMatchHook()
 	}
+	workers := opt.workers()
+	matches, embeddings := match.CN{Stop: gd.stopFunc()}.Matches(g, spec.Pattern, spec.subNodesForKey(), match.Scheduler{
+		Workers: workers,
+		// CN polls the guard itself; scheduling without it keeps root
+		// candidates out of the focal progress counters.
+		ForEach: func(n int, cost func(int) int64, body func(w, i int)) {
+			parallelForWorkerCost(nil, workers, n, cost, body)
+		},
+	})
 	if gd.stopped() {
 		return nil, 0, gd.failure(nil, nil)
 	}

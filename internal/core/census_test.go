@@ -376,8 +376,7 @@ func TestNumMatchesReported(t *testing.T) {
 // TestEmbeddingsPerMatch pins the embeddings-emitted counter: symmetry
 // breaking leaves one CN embedding per COUNTP match on the unlabeled
 // triangle and 4-clique (6 and 24 per match before) and on the labelled
-// clq3, and the count reaches ExecStats and its JSON form. A matcher that
-// emits every automorphic image reports |Aut| per match.
+// clq3, and the count reaches ExecStats and its JSON form.
 func TestEmbeddingsPerMatch(t *testing.T) {
 	g := gen.PreferentialAttachment(300, 5, 3)
 	gen.AssignLabels(g, 4, 4)
@@ -394,15 +393,6 @@ func TestEmbeddingsPerMatch(t *testing.T) {
 			t.Fatalf("%s %v: %d embeddings for %d matches, want one each", p.Name, p.Node(0).Label, res.Embeddings, res.NumMatches)
 		}
 	}
-	tri := Spec{Pattern: pattern.Clique("clq3", 3, nil), K: 1}
-	res, err := Count(g, tri, NDPvot, Options{Matcher: match.GQL{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Embeddings != 6*res.NumMatches {
-		t.Fatalf("GQL: %d embeddings for %d triangles, want 6 each", res.Embeddings, res.NumMatches)
-	}
-
 	e := NewEngine(g)
 	e.Alg = PTOpt
 	tables, err := e.Execute(`PATTERN clq3 { ?A-?B; ?B-?C; ?A-?C; [?A.LABEL='l0']; [?B.LABEL='l1']; [?C.LABEL='l2']; }

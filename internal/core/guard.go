@@ -193,8 +193,8 @@ func (gd *guard) failure(partial *Result, pairs *PairResult) error {
 	}
 }
 
-// stopFunc returns the callback injected into stoppable matchers: a full
-// check (the matcher itself epoch-counts its calls).
+// stopFunc returns the stop poll handed to CN and k-means: a full check
+// (the callee epoch-counts its calls).
 func (gd *guard) stopFunc() func() bool {
 	if gd == nil {
 		return nil

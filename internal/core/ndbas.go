@@ -11,15 +11,14 @@ import (
 // the paper reports 218x slower than ND-PVOT at 20K nodes — but it is the
 // semantic reference the other algorithms are validated against.
 //
-// With a masked matcher (the default CN), the per-node matching runs in
-// place on the parent graph restricted to the k-hop reach, so no subgraph
-// is ever extracted; other matchers fall back to extraction. Focal nodes
-// are processed in parallel across Options.Workers — each owns a disjoint
-// result slot, so workers write counts directly.
+// The per-node matching is a CN counting run in place on the parent graph
+// restricted to the k-hop reach, so no subgraph is ever extracted. Focal
+// nodes are processed in parallel across Options.Workers — each owns a
+// disjoint result slot, so workers write counts directly.
 //
-// Cancellation is checked before every focal node and, through the
-// matcher's stop hook, inside each per-node enumeration; on a stop the
-// counts written so far are returned as the partial census.
+// Cancellation is checked before every focal node and, through CN's stop
+// poll, inside each per-node enumeration; on a stop the counts written so
+// far are returned as the partial census.
 //
 // COUNTSP censuses cannot be answered inside the neighborhood (the pattern
 // may extend beyond it while only the subpattern image must lie inside),
@@ -34,7 +33,7 @@ func countNDBas(g *graph.Graph, spec Spec, opt Options, gd *guard) (*Result, err
 	}
 	res := &Result{Counts: make([]int64, g.NumNodes())}
 	gd.chargeMem(int64(g.NumNodes()) * 8)
-	m := opt.matcherFor(gd)
+	cn := match.CN{Stop: gd.stopFunc()}
 	focal := spec.focalList(g)
 	gd.setFocalTotal(len(focal))
 	prepare(g)
@@ -43,50 +42,28 @@ func countNDBas(g *graph.Graph, spec Spec, opt Options, gd *guard) (*Result, err
 	// degree, so hubs sort to the front of the deques.
 	focalCost := func(i int) int64 { return 1 + int64(g.Degree(focal[i])) }
 
-	if mc, ok := m.(match.MaskedCounter); ok {
-		// Zero-allocation hot path: one reusable counting run per worker;
-		// candidate planes, CN arenas, and the distinct-key set all live
-		// in the run and are reused across focals. The reach mask is also
-		// per-worker — passing the Reach value itself would box it into the
-		// NodeSet interface and put one heap allocation back per focal.
-		workers := opt.workers()
-		runs := make([]match.CountRun, workers)
-		masks := make([]*reachMask, workers)
-		parallelForWorkerCostAff(gd, workers, len(focal), focalCost, opt.focalAffinity(focal), func(w, i int) {
-			run := runs[w]
-			if run == nil {
-				run = mc.NewCountRun()
-				runs[w] = run
-				masks[w] = new(reachMask)
-			}
-			n := focal[i]
-			s := graph.AcquireScratch(g.NumNodes())
-			mask := masks[w]
-			mask.r = g.KHop(n, spec.K, s)
-			distinct, _ := run.CountWithin(g, spec.Pattern, mask, nil)
-			res.Counts[n] = int64(distinct)
-			s.Release()
-		})
-		return res, gd.failure(res, nil)
-	}
-
-	if mm, ok := m.(match.MaskedMatcher); ok {
-		parallelForCostAff(gd, opt.workers(), len(focal), focalCost, opt.focalAffinity(focal), func(i int) {
-			n := focal[i]
-			s := graph.AcquireScratch(g.NumNodes())
-			reach := g.KHop(n, spec.K, s)
-			emb := mm.EmbeddingsWithin(g, spec.Pattern, reach)
-			res.Counts[n] = int64(match.CountDistinct(spec.Pattern, emb, nil))
-			s.Release()
-		})
-		return res, gd.failure(res, nil)
-	}
-
-	parallelForCostAff(gd, opt.workers(), len(focal), focalCost, opt.focalAffinity(focal), func(i int) {
+	// Zero-allocation hot path: one reusable counting run per worker;
+	// candidate planes, CN arenas, and the distinct-key set all live in
+	// the run and are reused across focals. The reach mask is also
+	// per-worker — passing the Reach value itself would box it into the
+	// NodeSet interface and put one heap allocation back per focal.
+	workers := opt.workers()
+	runs := make([]*match.CountRun, workers)
+	masks := make([]*reachMask, workers)
+	parallelForWorkerCostAff(gd, workers, len(focal), focalCost, opt.focalAffinity(focal), func(w, i int) {
+		run := runs[w]
+		if run == nil {
+			run = cn.NewCountRun()
+			runs[w] = run
+			masks[w] = new(reachMask)
+		}
 		n := focal[i]
-		sg := g.EgoSubgraph(n, spec.K)
-		emb := m.Embeddings(sg.G, spec.Pattern)
-		res.Counts[n] = int64(match.CountDistinct(spec.Pattern, emb, nil))
+		s := graph.AcquireScratch(g.NumNodes())
+		mask := masks[w]
+		mask.r = g.KHop(n, spec.K, s)
+		distinct, _ := run.CountWithin(g, spec.Pattern, mask, nil)
+		res.Counts[n] = int64(distinct)
+		s.Release()
 	})
 	return res, gd.failure(res, nil)
 }

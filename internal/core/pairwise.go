@@ -51,6 +51,25 @@ type PairSpec struct {
 	Pairs []Pair
 }
 
+// Validate checks the pair spec against the graph: the embedded Spec, the
+// combinator, and both ends of every listed pair.
+func (s PairSpec) Validate(g *graph.Graph) error {
+	if err := s.Spec.Validate(g); err != nil {
+		return err
+	}
+	if s.Mode != Intersection && s.Mode != Union {
+		return fmt.Errorf("census: unknown pair mode %d", s.Mode)
+	}
+	for _, pr := range s.Pairs {
+		for _, n := range [2]graph.NodeID{pr.A, pr.B} {
+			if n < 0 || int(n) >= g.NumNodes() {
+				return fmt.Errorf("census: pair node %d out of range", n)
+			}
+		}
+	}
+	return nil
+}
+
 // PairResult maps pairs to counts. Pairs absent from the map have count 0.
 type PairResult struct {
 	Counts     map[Pair]int64
@@ -133,56 +152,58 @@ func pairAdder(res *PairResult, spec PairSpec, gd *guard) func(a, b graph.NodeID
 
 // pairNDBas matches inside the intersection/union neighborhood of each
 // pair — the reference semantics (COUNTP only; COUNTSP censuses fall back
-// to global matching plus containment checks). A masked counter counts in
-// place on g, as countNDBas does; other matchers match inside the
-// extracted induced subgraph.
+// to global matching plus containment checks). A CN counting run counts
+// in place on g with the pair's combined reach as the mask, as countNDBas
+// does.
 func pairNDBas(g *graph.Graph, spec PairSpec, opt Options, gd *guard) (*PairResult, error) {
 	if spec.Pairs == nil {
 		return nil, fmt.Errorf("census: ND-BAS pairwise requires an explicit pair list")
 	}
-	res := &PairResult{Counts: make(map[Pair]int64, len(spec.Pairs))}
 	if spec.Subpattern != "" {
 		return pairNDContainment(g, spec, opt, gd)
 	}
-	m := opt.matcherFor(gd)
-	gd.setFocalTotal(len(spec.Pairs))
-	count := func(pr Pair) int64 {
-		var sg *graph.Subgraph
-		if spec.Mode == Intersection {
-			sg = g.EgoIntersection(pr.A, pr.B, spec.K)
-		} else {
-			sg = g.EgoUnion(pr.A, pr.B, spec.K)
-		}
-		if sg.G.NumNodes() == 0 {
+	res := &PairResult{Counts: make(map[Pair]int64, len(spec.Pairs))}
+	run := match.CN{Stop: gd.stopFunc()}.NewCountRun()
+	return countListedPairs(g, spec, gd, res, func(mask *pairMask) int64 {
+		if len(mask.nodes) == 0 {
 			return 0
 		}
-		return int64(match.CountDistinct(spec.Pattern, m.Embeddings(sg.G, spec.Pattern), nil))
-	}
-	if mc, ok := m.(match.MaskedCounter); ok {
-		run := mc.NewCountRun()
-		sa := graph.AcquireScratch(g.NumNodes())
-		sb := graph.AcquireScratch(g.NumNodes())
-		defer sa.Release()
-		defer sb.Release()
-		mask := new(pairMask)
-		count = func(pr Pair) int64 {
-			mask.set(g.KHop(pr.A, spec.K, sa), g.KHop(pr.B, spec.K, sb), spec.Mode == Union)
-			if len(mask.nodes) == 0 {
-				return 0
-			}
-			d, _ := run.CountWithin(g, spec.Pattern, mask, nil)
-			return int64(d)
+		d, _ := run.CountWithin(g, spec.Pattern, mask, nil)
+		return int64(d)
+	})
+}
+
+// countListedPairs is the pair loop of the node-driven pair drivers: it
+// builds the combined neighborhood of each distinct listed pair, calls
+// count on it, and records the non-zero counts, charging one result row
+// per recorded pair. A pair listed twice, in either order, is counted and
+// charged once.
+func countListedPairs(g *graph.Graph, spec PairSpec, gd *guard, res *PairResult, count func(mask *pairMask) int64) (*PairResult, error) {
+	pairs := make([]Pair, 0, len(spec.Pairs))
+	seen := make(map[Pair]bool, len(spec.Pairs))
+	for _, pr := range spec.Pairs {
+		pr = MakePair(pr.A, pr.B)
+		if !seen[pr] {
+			seen[pr] = true
+			pairs = append(pairs, pr)
 		}
 	}
-	for _, pr := range spec.Pairs {
+	gd.setFocalTotal(len(pairs))
+	sa := graph.AcquireScratch(g.NumNodes())
+	sb := graph.AcquireScratch(g.NumNodes())
+	defer sa.Release()
+	defer sb.Release()
+	mask := new(pairMask)
+	for _, pr := range pairs {
 		if gd.check() != nil {
 			break
 		}
-		if c := count(pr); c > 0 {
+		mask.set(g.KHop(pr.A, spec.K, sa), g.KHop(pr.B, spec.K, sb), spec.Mode == Union)
+		if c := count(mask); c > 0 {
 			if gd.chargeRows(1) != nil {
 				break
 			}
-			res.Counts[MakePair(pr.A, pr.B)] = c
+			res.Counts[pr] = c
 		}
 		gd.focalTick()
 	}
@@ -245,18 +266,8 @@ func pairNDContainment(g *graph.Graph, spec PairSpec, opt Options, gd *guard) (*
 	}
 	res.NumMatches, res.Embeddings = len(matches), embs
 	anchorIdx := spec.anchorNodes()
-	gd.setFocalTotal(len(spec.Pairs))
-	sa := graph.AcquireScratch(g.NumNodes())
-	sb := graph.AcquireScratch(g.NumNodes())
-	defer sa.Release()
-	defer sb.Release()
-	mask := new(pairMask)
 	tk := ticker{gd: gd}
-	for _, pr := range spec.Pairs {
-		if gd.check() != nil {
-			break
-		}
-		mask.set(g.KHop(pr.A, spec.K, sa), g.KHop(pr.B, spec.K, sb), spec.Mode == Union)
+	return countListedPairs(g, spec, gd, res, func(mask *pairMask) int64 {
 		var count int64
 	next:
 		for _, m := range matches {
@@ -270,15 +281,8 @@ func pairNDContainment(g *graph.Graph, spec PairSpec, opt Options, gd *guard) (*
 			}
 			count++
 		}
-		if count > 0 {
-			if gd.chargeRows(1) != nil {
-				break
-			}
-			res.Counts[MakePair(pr.A, pr.B)] = count
-		}
-		gd.focalTick()
-	}
-	return res, gd.failure(nil, res)
+		return count
+	})
 }
 
 // pairNDPvot adapts the pivot indexing algorithm to pairs (Appendix B):
@@ -299,19 +303,8 @@ func pairNDPvot(g *graph.Graph, spec PairSpec, opt Options, gd *guard) (*PairRes
 		return res, nil
 	}
 	ix := newPivotIndex(g.NumNodes(), spec.Spec, matches)
-
-	gd.setFocalTotal(len(spec.Pairs))
-	sa := graph.AcquireScratch(g.NumNodes())
-	sb := graph.AcquireScratch(g.NumNodes())
-	defer sa.Release()
-	defer sb.Release()
-	mask := new(pairMask)
 	tk := ticker{gd: gd}
-	for _, pr := range spec.Pairs {
-		if gd.check() != nil {
-			break
-		}
-		mask.set(g.KHop(pr.A, spec.K, sa), g.KHop(pr.B, spec.K, sb), spec.Mode == Union)
+	return countListedPairs(g, spec, gd, res, func(mask *pairMask) int64 {
 		var count int64
 		for _, nPrime := range mask.nodes {
 			if tk.tick() != nil {
@@ -337,15 +330,8 @@ func pairNDPvot(g *graph.Graph, spec PairSpec, opt Options, gd *guard) (*PairRes
 				count++
 			}
 		}
-		if count > 0 {
-			if gd.chargeRows(1) != nil {
-				break
-			}
-			res.Counts[MakePair(pr.A, pr.B)] = count
-		}
-		gd.focalTick()
-	}
-	return res, gd.failure(nil, res)
+		return count
+	})
 }
 
 // pairPTOpt is the optimized pattern-driven pairwise evaluator: matches

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"maps"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"egocensus/internal/gen"
 	"egocensus/internal/graph"
+	"egocensus/internal/match"
 	"egocensus/internal/pattern"
 )
 
@@ -273,5 +275,113 @@ func TestPairModeString(t *testing.T) {
 func TestMakePairCanonical(t *testing.T) {
 	if MakePair(5, 2) != (Pair{2, 5}) || MakePair(2, 5) != (Pair{2, 5}) {
 		t.Fatal("MakePair not canonical")
+	}
+}
+
+// TestPairMaskedMatchingEqualsExtraction pins the equivalence the
+// node-driven pair drivers rely on: counting on the parent graph inside
+// the pair's combined reach equals matching inside the extracted
+// intersection or union subgraph. The reference deduplicates GQL's
+// embeddings inside g.EgoIntersection or g.EgoUnion.
+func TestPairMaskedMatchingEqualsExtraction(t *testing.T) {
+	und := gen.PreferentialAttachment(120, 3, 31)
+	gen.AssignLabels(und, 3, 32)
+	dir := gen.DirectedPreferentialAttachment(120, 3, 33)
+	gen.AssignLabels(dir, 2, 34)
+	cases := []struct {
+		g    *graph.Graph
+		spec Spec
+	}{
+		{und, Spec{Pattern: pattern.Clique("clq3", 3, []string{"l0", "l1", "l2"}), K: 2}},
+		{und, Spec{Pattern: pattern.Clique("clq3u", 3, nil), K: 1}},
+		{dir, Spec{Pattern: directedPath("dpath", []string{"l0", "", "l1"}), K: 2}},
+		{dir, Spec{Pattern: directedPath("dpathu", nil), K: 1}},
+	}
+	rng := rand.New(rand.NewSource(35))
+	for _, c := range cases {
+		pairs := make([]Pair, 40)
+		for i := range pairs {
+			pairs[i] = MakePair(graph.NodeID(rng.Intn(c.g.NumNodes())), graph.NodeID(rng.Intn(c.g.NumNodes())))
+		}
+		p := c.spec.Pattern
+		for _, mode := range []PairMode{Intersection, Union} {
+			want := make(map[Pair]int64)
+			for _, pr := range pairs {
+				sg := c.g.EgoIntersection(pr.A, pr.B, c.spec.K)
+				if mode == Union {
+					sg = c.g.EgoUnion(pr.A, pr.B, c.spec.K)
+				}
+				if n := len(match.Deduplicate(p, match.GQL{}.Embeddings(sg.G, p), nil)); n > 0 {
+					want[pr] = int64(n)
+				}
+			}
+			if len(want) == 0 {
+				t.Fatalf("%s %v: no pair has a match; the instance tests nothing", p.Name, mode)
+			}
+			spec := PairSpec{Spec: c.spec, Mode: mode, Pairs: pairs}
+			for _, alg := range []Algorithm{NDBas, NDPvot} {
+				res, err := CountPairs(c.g, spec, alg, Options{})
+				if err != nil {
+					t.Fatalf("%s %s %v: %v", p.Name, alg, mode, err)
+				}
+				if !maps.Equal(res.Counts, want) {
+					t.Fatalf("%s %s %v: counts %v, extracted %v", p.Name, alg, mode, res.Counts, want)
+				}
+			}
+		}
+	}
+}
+
+// TestPairSpecValidate checks that every pairwise driver rejects a pair
+// naming a node outside the graph, and an unknown pair mode, with an
+// error instead of a panic or a silent empty result.
+func TestPairSpecValidate(t *testing.T) {
+	g := gen.ErdosRenyi(50, 120, 41)
+	base := Spec{Pattern: pattern.SingleEdge("e", nil), K: 1}
+	bad := []PairSpec{
+		{Spec: base, Mode: Intersection, Pairs: []Pair{{0, 5000}}},
+		{Spec: base, Mode: Union, Pairs: []Pair{{-1, 3}}},
+		{Spec: base, Mode: PairMode(7), Pairs: []Pair{{0, 1}}},
+	}
+	for _, spec := range bad {
+		for _, alg := range []Algorithm{NDBas, NDPvot, PTBas, PTOpt, PTRnd} {
+			if _, err := CountPairs(g, spec, alg, Options{}); err == nil {
+				t.Fatalf("%s mode=%d pairs=%v: no error", alg, spec.Mode, spec.Pairs)
+			}
+		}
+	}
+}
+
+// TestPairDuplicateChargedOnce lists the same pair in both orders under a
+// one-row limit: every pairwise driver counts it once, charges one row,
+// and agrees with the singly listed pair, for COUNTP and for the COUNTSP
+// containment path.
+func TestPairDuplicateChargedOnce(t *testing.T) {
+	g := gen.ErdosRenyi(30, 60, 43)
+	chain := pattern.Chain("ch3", 3, nil)
+	if err := chain.AddSubpattern("ends", []int{0, 2}); err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Limits: Limits{MaxResultRows: 1}}
+	for _, s := range []Spec{
+		{Pattern: pattern.SingleNode("n", ""), K: 1},
+		{Pattern: chain, Subpattern: "ends", K: 1},
+	} {
+		spec := PairSpec{Spec: s, Mode: Union, Pairs: []Pair{{0, 1}}}
+		dup := spec
+		dup.Pairs = []Pair{{0, 1}, {1, 0}, {0, 1}}
+		for _, alg := range []Algorithm{NDBas, NDPvot, PTBas, PTOpt, PTRnd} {
+			want, err := CountPairs(g, spec, alg, opt)
+			if err != nil {
+				t.Fatalf("%s %s single: %v", s.Pattern.Name, alg, err)
+			}
+			got, err := CountPairs(g, dup, alg, opt)
+			if err != nil {
+				t.Fatalf("%s %s duplicated: %v", s.Pattern.Name, alg, err)
+			}
+			if !maps.Equal(got.Counts, want.Counts) || len(got.Counts) != 1 {
+				t.Fatalf("%s %s: duplicated %v, single %v", s.Pattern.Name, alg, got.Counts, want.Counts)
+			}
+		}
 	}
 }

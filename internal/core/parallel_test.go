@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"egocensus/internal/gen"
+	"egocensus/internal/graph"
 	"egocensus/internal/match"
 	"egocensus/internal/pattern"
 )
@@ -52,36 +53,61 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestMaskedMatchingEqualsExtraction pins the tentpole equivalence the
-// ND-BAS rewrite relies on: matching inside the extracted ego subgraph
-// equals masked matching on the parent graph, for labeled, unlabeled, and
-// directed patterns.
+// TestMaskedMatchingEqualsExtraction pins the equivalence ND-BAS relies
+// on: masked CN counting on the parent graph equals matching inside the
+// extracted ego subgraph, for labeled, unlabeled, and directed patterns.
+// The reference deduplicates GQL's embeddings inside g.EgoSubgraph(n, k).
 func TestMaskedMatchingEqualsExtraction(t *testing.T) {
 	und := gen.PreferentialAttachment(300, 4, 21)
 	gen.AssignLabels(und, 3, 22)
-	specs := []Spec{
-		{Pattern: pattern.Clique("clq3", 3, []string{"l0", "l1", "l2"}), K: 2},
-		{Pattern: pattern.Clique("clq3u", 3, nil), K: 1},
-		{Pattern: pattern.Star("star4", 4, []string{"l0", "l1", "l2", "l1"}), K: 2},
+	dir := gen.DirectedPreferentialAttachment(200, 3, 23)
+	gen.AssignLabels(dir, 2, 24)
+	cases := []struct {
+		g    *graph.Graph
+		spec Spec
+	}{
+		{und, Spec{Pattern: pattern.Clique("clq3", 3, []string{"l0", "l1", "l2"}), K: 2}},
+		{und, Spec{Pattern: pattern.Clique("clq3u", 3, nil), K: 1}},
+		{und, Spec{Pattern: pattern.Star("star4", 4, []string{"l0", "l1", "l2", "l1"}), K: 2}},
+		{dir, Spec{Pattern: directedPath("dpath", []string{"l0", "", "l1"}), K: 2}},
+		{dir, Spec{Pattern: directedPath("dpathu", nil), K: 1}},
 	}
-	for _, spec := range specs {
-		masked, err := Count(und, spec, NDBas, Options{Workers: 2})
-		if err != nil {
-			t.Fatalf("%s masked: %v", spec.Pattern.Name, err)
+	for _, c := range cases {
+		p := c.spec.Pattern
+		want := make([]int64, c.g.NumNodes())
+		for n := range want {
+			sg := c.g.EgoSubgraph(graph.NodeID(n), c.spec.K)
+			want[n] = int64(len(match.Deduplicate(p, match.GQL{}.Embeddings(sg.G, p), nil)))
 		}
-		// Forcing the GQL matcher (no EmbeddingsWithin) exercises the
-		// extraction fallback.
-		extracted, err := Count(und, spec, NDBas, Options{Matcher: match.GQL{}})
-		if err != nil {
-			t.Fatalf("%s extracted: %v", spec.Pattern.Name, err)
-		}
-		for n := range masked.Counts {
-			if masked.Counts[n] != extracted.Counts[n] {
-				t.Fatalf("%s: node %d = %d masked, %d extracted",
-					spec.Pattern.Name, n, masked.Counts[n], extracted.Counts[n])
+		for _, workers := range []int{1, 2} {
+			res, err := Count(c.g, c.spec, NDBas, Options{Workers: workers})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", p.Name, workers, err)
+			}
+			for n := range want {
+				if res.Counts[n] != want[n] {
+					t.Fatalf("%s workers=%d: node %d = %d masked, %d extracted",
+						p.Name, workers, n, res.Counts[n], want[n])
+				}
 			}
 		}
 	}
+}
+
+// directedPath builds the directed chain A->B->C with the given labels
+// (nil leaves every node unlabeled).
+func directedPath(name string, labels []string) *pattern.Pattern {
+	p := pattern.New(name)
+	for i, v := range []string{"A", "B", "C"} {
+		label := ""
+		if labels != nil {
+			label = labels[i]
+		}
+		p.MustAddNode(v, label)
+	}
+	p.MustAddEdge(0, 1, true, false)
+	p.MustAddEdge(1, 2, true, false)
+	return p
 }
 
 // withStealDelay installs fn as the scheduler's steal-timing hook for the

@@ -109,6 +109,11 @@ const schedChunksPerWorker = 8
 // steal timing and must be nil in production.
 var stealDelay func(worker int)
 
+// globalMatchHook, when non-nil, is called at the top of every global
+// match. It exists for tests to inject a failure on the coordinating
+// goroutine and must be nil in production.
+var globalMatchHook func()
+
 // chunk is a half-open range of positions in the scheduler's item order.
 type chunk struct{ start, end int32 }
 

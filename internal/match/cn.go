@@ -31,40 +31,34 @@ import (
 // construction for high-degree nodes runs on the bitset kernels: the
 // node's cached hub bitmap is ANDed against a per-pattern-node candidate
 // bitmap, replacing one membership probe per adjacency entry with one
-// word-AND per 64 nodes. CN implements MaskedMatcher (enumeration
-// restricted to a node subset, in place on the parent graph),
-// MaskedCounter (distinct-match counting with no per-call heap
-// allocation in steady state) and SetMatcher (the distinct match set,
-// one embedding per subgraph, extracted in parallel).
+// word-AND per 64 nodes. Besides Embeddings, CN offers the two entry
+// points the census drivers call: Matches (the distinct match set, one
+// embedding per subgraph, extracted in parallel) and NewCountRun
+// (distinct-match counting inside a node subset, in place on the parent
+// graph, with no per-call heap allocation in steady state).
 type CN struct {
 	// Stop, when non-nil, is polled (epoch-counted) during candidate
 	// construction, pruning, and extraction; once it returns true the run
-	// winds down and returns the embeddings found so far. Set via WithStop.
+	// winds down and returns the embeddings found so far. The census
+	// drivers set it to their guard's stop poll.
 	Stop func() bool
 }
 
 // Name implements Matcher.
 func (CN) Name() string { return "CN" }
 
-// WithStop implements Stoppable.
-func (c CN) WithStop(stop func() bool) Matcher {
-	c.Stop = stop
-	return c
-}
-
 // Embeddings implements Matcher.
 func (c CN) Embeddings(g *graph.Graph, p *pattern.Pattern) []pattern.Match {
-	return c.EmbeddingsWithin(g, p, nil)
+	return c.embeddingsWithin(g, p, nil)
 }
 
-// EmbeddingsWithin implements MaskedMatcher: it enumerates the embeddings
-// whose every image node lies in `within` (nil means the whole graph),
-// matching directly against the parent graph. Because an induced
-// neighborhood subgraph contains exactly the parent edges between its
-// nodes, masked matching is equivalent to extracting the subgraph and
-// matching inside it — minus the extraction. The embeddings are views
-// into one shared arena.
-func (c CN) EmbeddingsWithin(g *graph.Graph, p *pattern.Pattern, within NodeSet) []pattern.Match {
+// embeddingsWithin enumerates the embeddings whose every image node lies
+// in `within` (nil means the whole graph), matching directly against the
+// parent graph. Because an induced neighborhood subgraph contains exactly
+// the parent edges between its nodes, masked matching is equivalent to
+// extracting the subgraph and matching inside it — minus the extraction.
+// The embeddings are views into one shared arena.
+func (c CN) embeddingsWithin(g *graph.Graph, p *pattern.Pattern, within NodeSet) []pattern.Match {
 	r := getRunner(c.Stop)
 	defer putRunner(r)
 	if !r.build(g, p, within) {
@@ -77,7 +71,12 @@ func (c CN) EmbeddingsWithin(g *graph.Graph, p *pattern.Pattern, within NodeSet)
 	return views(x.takeOut(), p.NumNodes())
 }
 
-// Matches implements SetMatcher. Extraction enforces the pattern's
+// Matches returns the paper's match set M: the distinct matches of p in
+// g under Deduplicate's identity (subNodes participates for COUNTSP
+// semantics), in Deduplicate's lexicographic order, plus the number of
+// embeddings the search emitted before any deduplication. The result
+// equals Deduplicate(p, Embeddings(g, p), subNodes) as a set and does not
+// depend on sched.Workers. Extraction enforces the pattern's
 // symmetry-breaking conditions, so it emits one embedding per orbit of
 // the automorphism group instead of every automorphic image; the key
 // deduplication runs only when that group is smaller than the group of
@@ -203,23 +202,23 @@ func views(flat []graph.NodeID, n int) []pattern.Match {
 	return ms
 }
 
-// NewCountRun implements MaskedCounter. The returned run owns a private
-// runner — it is reusable but not safe for concurrent use; the census
-// drivers hold one per worker. It enforces the same symmetry-breaking
-// conditions as Matches.
-func (c CN) NewCountRun() CountRun {
-	cr := &cnCountRun{r: new(cnRunner), stop: c.Stop}
+// NewCountRun returns a reusable counting session. The run owns a
+// private runner — it is reusable but not safe for concurrent use; the
+// census drivers hold one per worker. It enforces the same
+// symmetry-breaking conditions as Matches.
+func (c CN) NewCountRun() *CountRun {
+	cr := &CountRun{r: new(cnRunner), stop: c.Stop}
 	cr.emitFn = cr.onMatch
 	return cr
 }
 
-// cnCountRun counts distinct matches through a persistent runner and an
-// open-addressed key set over an AppendKey byte arena, replacing the
-// map[string]struct{} (and its per-key string allocations) of
-// CountDistinct on the census hot path. When the symmetry-broken
-// extraction already emits one embedding per key, the key set is
-// skipped and the count is the number of embeddings emitted.
-type cnCountRun struct {
+// CountRun counts distinct matches through a persistent runner and an
+// open-addressed key set over an AppendKey byte arena, with no
+// map[string]struct{} (and no per-key string allocation) on the census
+// hot path. When the symmetry-broken extraction already emits one
+// embedding per key, the key set is skipped and the count is the number
+// of embeddings emitted.
+type CountRun struct {
 	r        *cnRunner
 	stop     func() bool
 	emitFn   func(pattern.Match)
@@ -227,16 +226,20 @@ type cnCountRun struct {
 	subNodes []int
 }
 
-func (cr *cnCountRun) onMatch(m pattern.Match) {
+func (cr *CountRun) onMatch(m pattern.Match) {
 	r := cr.r
 	r.keyBuf = cr.p.AppendKey(r.keyBuf[:0], m, cr.subNodes)
 	r.ks.insert(r.keyBuf)
 }
 
-// CountWithin implements CountRun. Each emitted embedding stands for the
-// |H| embeddings of its orbit, so the embedding count is exact without
-// enumerating them.
-func (cr *cnCountRun) CountWithin(g *graph.Graph, p *pattern.Pattern, within NodeSet, subNodes []int) (distinct, embeddings int) {
+// CountWithin returns the number of distinct matches of p inside within
+// (nil means the whole graph) under Deduplicate's identity (subNodes
+// participates for COUNTSP semantics), plus the number of embeddings
+// enumerated: len(Deduplicate(p, embs, subNodes)) and len(embs) for the
+// embeddings embs that CN finds inside within, without allocating
+// either list. Each emitted embedding stands for the |H| embeddings of
+// its orbit, so the embedding count is exact without enumerating them.
+func (cr *CountRun) CountWithin(g *graph.Graph, p *pattern.Pattern, within NodeSet, subNodes []int) (distinct, embeddings int) {
 	r := cr.r
 	r.stop = cr.stop
 	if !r.build(g, p, within) {

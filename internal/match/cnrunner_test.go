@@ -26,9 +26,9 @@ func newSliceSet(nodes []graph.NodeID) sliceSet {
 func (s sliceSet) Contains(n graph.NodeID) bool { return s.set[n] }
 func (s sliceSet) Members() []graph.NodeID      { return s.nodes }
 
-func countViaEmbeddings(m MaskedMatcher, g *graph.Graph, p *pattern.Pattern, within NodeSet, subNodes []int) (int, int) {
-	embs := m.EmbeddingsWithin(g, p, within)
-	return CountDistinct(p, embs, subNodes), len(embs)
+func countViaEmbeddings(m CN, g *graph.Graph, p *pattern.Pattern, within NodeSet, subNodes []int) (int, int) {
+	embs := m.embeddingsWithin(g, p, within)
+	return len(Deduplicate(p, embs, subNodes)), len(embs)
 }
 
 // TestCountRunMatchesCountDistinct cross-checks the zero-alloc counting
@@ -127,7 +127,7 @@ func TestHubKernelMasked(t *testing.T) {
 		}
 	}
 	want := Deduplicate(p, filtered, nil)
-	got := Deduplicate(p, (CN{}).EmbeddingsWithin(g, p, within), nil)
+	got := Deduplicate(p, (CN{}).embeddingsWithin(g, p, within), nil)
 	sameMatchSets(t, p, got, want, "CN(hub,masked)", "GQL(filtered)")
 }
 

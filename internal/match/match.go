@@ -4,10 +4,11 @@
 // used as the paper's baseline, and a brute-force reference matcher used to
 // cross-validate both in tests.
 //
-// Matchers enumerate embeddings (variable assignments). A SetMatcher (CN)
-// returns the distinct matches directly, emitting one embedding per
-// subgraph; for other matchers the census layer deduplicates automorphic
-// embeddings of the same subgraph with Deduplicate.
+// Matchers enumerate embeddings (variable assignments); Deduplicate
+// collapses the automorphic embeddings of one subgraph into one match.
+// The census runs on CN alone: CN.Matches returns the distinct matches
+// directly, emitting one embedding per subgraph, and a CountRun counts
+// them inside a node subset of the parent graph without allocating.
 package match
 
 import (
@@ -38,57 +39,7 @@ type NodeSet interface {
 	Members() []graph.NodeID
 }
 
-// MaskedMatcher is a Matcher that can enumerate the embeddings whose image
-// lies entirely inside a node subset, matching in place on the parent
-// graph. Because a k-hop neighborhood subgraph is induced — it contains
-// every parent edge between its nodes — masked matching is equivalent to
-// extracting the subgraph and matching inside it, and the node-driven
-// census drivers use it to skip extraction entirely.
-type MaskedMatcher interface {
-	Matcher
-	// EmbeddingsWithin is Embeddings restricted to within; nil means the
-	// whole graph.
-	EmbeddingsWithin(g *graph.Graph, p *pattern.Pattern, within NodeSet) []pattern.Match
-}
-
-// MaskedCounter is a MaskedMatcher that can count distinct matches
-// without materializing the embedding list. The census drivers use it to
-// run the per-focal counting loop with no per-call heap allocation.
-type MaskedCounter interface {
-	MaskedMatcher
-	// NewCountRun returns a reusable counting session. A CountRun serves
-	// one goroutine at a time; census drivers hold one per worker.
-	NewCountRun() CountRun
-}
-
-// CountRun is a reusable distinct-match counting session.
-type CountRun interface {
-	// CountWithin returns the number of distinct matches of p inside
-	// within (nil means the whole graph) under Deduplicate's identity
-	// (subNodes participates for COUNTSP semantics), plus the number of
-	// embeddings enumerated. It is equivalent to
-	//
-	//	embs := m.EmbeddingsWithin(g, p, within)
-	//	return CountDistinct(p, embs, subNodes), len(embs)
-	//
-	// without allocating either list.
-	CountWithin(g *graph.Graph, p *pattern.Pattern, within NodeSet, subNodes []int) (distinct, embeddings int)
-}
-
-// SetMatcher is a Matcher that returns the paper's match set M directly
-// instead of every automorphic embedding.
-type SetMatcher interface {
-	Matcher
-	// Matches returns the distinct matches of p in g under Deduplicate's
-	// identity (subNodes participates for COUNTSP semantics), in
-	// Deduplicate's lexicographic order, plus the number of embeddings
-	// the search emitted before any deduplication. The result equals
-	// Deduplicate(p, Embeddings(g, p), subNodes) as a set and does not
-	// depend on sched.Workers.
-	Matches(g *graph.Graph, p *pattern.Pattern, subNodes []int, sched Scheduler) (matches []pattern.Match, embeddings int)
-}
-
-// Scheduler lends a SetMatcher the caller's worker pool.
+// Scheduler lends CN.Matches the caller's worker pool.
 type Scheduler struct {
 	// Workers bounds the parallelism; zero or one runs serially.
 	Workers int
@@ -96,19 +47,6 @@ type Scheduler struct {
 	// naming the goroutine that runs item i, and returns when all items
 	// are done. cost(i) estimates the work of item i. Nil runs serially.
 	ForEach func(n int, cost func(i int) int64, body func(w, i int))
-}
-
-// Stoppable is a Matcher whose enumeration can be interrupted from the
-// outside. The census layer injects a cancellation poll so that a context
-// cancel or resource limit reaches into long match enumerations instead of
-// waiting for them to finish.
-type Stoppable interface {
-	Matcher
-	// WithStop returns a matcher that polls stop (epoch-counted, so the
-	// callback may be arbitrarily expensive) during enumeration and
-	// abandons the search once it returns true, returning the embeddings
-	// found so far. A nil stop returns the receiver unchanged.
-	WithStop(stop func() bool) Matcher
 }
 
 // Deduplicate collapses automorphic embeddings of the same subgraph into a
@@ -132,29 +70,11 @@ func Deduplicate(p *pattern.Pattern, embeddings []pattern.Match, subNodes []int)
 	return out
 }
 
-// CountDistinct returns the number of distinct matches among embeddings —
-// len(Deduplicate(...)) without materializing or sorting the deduplicated
-// slice. The census counting loops use it.
-func CountDistinct(p *pattern.Pattern, embeddings []pattern.Match, subNodes []int) int {
-	if len(embeddings) == 0 {
-		return 0
-	}
-	seen := make(map[string]struct{}, len(embeddings))
-	var key []byte
-	for _, m := range embeddings {
-		key = p.AppendKey(key[:0], m, subNodes)
-		if _, dup := seen[string(key)]; !dup {
-			seen[string(key)] = struct{}{}
-		}
-	}
-	return len(seen)
-}
-
-// FindMatches returns the paper's set of matches M: directly from a
-// SetMatcher, otherwise by deduplicating m's embeddings.
+// FindMatches returns the paper's set of matches M: directly from CN's
+// match set, otherwise by deduplicating m's embeddings.
 func FindMatches(m Matcher, g *graph.Graph, p *pattern.Pattern) []pattern.Match {
-	if sm, ok := m.(SetMatcher); ok {
-		ms, _ := sm.Matches(g, p, nil, Scheduler{})
+	if cn, ok := m.(CN); ok {
+		ms, _ := cn.Matches(g, p, nil, Scheduler{})
 		return ms
 	}
 	return Deduplicate(p, m.Embeddings(g, p), nil)

@@ -202,7 +202,7 @@ func TestSymmetryFallbackKeepsDedup(t *testing.T) {
 func TestStampEpochWraparound(t *testing.T) {
 	g := gen.PreferentialAttachment(200, 4, 3)
 	for _, p := range []*pattern.Pattern{pattern.Clique("clq3", 3, nil), pattern.Clique("clq4", 4, nil), pattern.Star("st3", 3, nil)} {
-		run := (CN{}).NewCountRun().(*cnCountRun)
+		run := (CN{}).NewCountRun()
 		want, _ := run.CountWithin(g, p, nil, nil)
 		x := &run.r.x
 		x.stampEp = math.MaxInt32 - 1
