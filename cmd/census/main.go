@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"egocensus/internal/core"
-	"egocensus/internal/graph"
 	"egocensus/internal/storage"
 )
 
@@ -47,7 +46,6 @@ func main() {
 		timeout    = flag.Duration("timeout", 0, "per-query evaluation deadline (0 = none); on expiry partial results are printed and the exit status is nonzero")
 		maxMatches = flag.Int("max-matches", 0, "cap on the global match-set size (0 = unlimited); exceeding it prints partial results and exits nonzero")
 		mutlog     = flag.Bool("mutlog", false, "open -graph as a dynamic store: replay its mutation-log sidecar(s) (crash-recovering torn tails) and query the recovered snapshot")
-		shards     = flag.Int("shards", 0, "shard-affine scheduling: partition focal work across this many shards (0 = the store's own shard count for -mutlog, no affinity otherwise)")
 	)
 	flag.Parse()
 	if *graphPath == "" || (*queryPath == "" && *inline == "") {
@@ -70,9 +68,6 @@ func main() {
 			fatal(err)
 		}
 		defer ds.Close()
-		if *shards > 0 && *shards != ds.Shards() {
-			fatal(fmt.Errorf("census: store %s has %d shards, not %d", *graphPath, ds.Shards(), *shards))
-		}
 		records, bytes, baseEpoch := ds.LogStats()
 		fmt.Fprintf(os.Stderr, "census: recovered epoch %d (base image at epoch %d, %d shards, %d log records, %d bytes)\n",
 			ds.Snapshot().Epoch(), baseEpoch, ds.Shards(), records, bytes)
@@ -84,9 +79,6 @@ func main() {
 		}
 		defer st.Close()
 		e = core.NewEngineFromSource(st)
-		if *shards > 1 {
-			e.Opt.Partitioner = graph.NewPartitioner(*shards)
-		}
 	}
 	e.Alg = core.Algorithm(*alg)
 	effective := core.EffectiveWorkers(*workers)

@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"egocensus/internal/core"
-	"egocensus/internal/graph"
 	"egocensus/internal/serve"
 	"egocensus/internal/storage"
 )
@@ -49,7 +48,6 @@ func main() {
 		workers     = flag.Int("workers", core.DefaultWorkers(), "parallel workers per query's counting phase")
 		seed        = flag.Int64("seed", 1, "seed for RND() sampling")
 		mutlog      = flag.Bool("mutlog", false, "open -graph as a dynamic store: replay its mutation-log sidecar(s) and serve the recovered snapshot")
-		shards      = flag.Int("shards", 0, "shard-affine scheduling: partition focal work across this many shards (0 = the store's own shard count for -mutlog, no affinity otherwise)")
 		inflight    = flag.Int("inflight", 0, "max concurrently executing queries (0 = GOMAXPROCS)")
 		queue       = flag.Int("queue", 0, "max queries waiting for a slot before 429 (0 = 4x inflight)")
 		reqTimeout  = flag.Duration("timeout", 30*time.Second, "default per-request evaluation deadline")
@@ -73,9 +71,6 @@ func main() {
 			fatal(err)
 		}
 		defer ds.Close()
-		if *shards > 0 && *shards != ds.Shards() {
-			fatal(fmt.Errorf("egoserve: store %s has %d shards, not %d", *graphPath, ds.Shards(), *shards))
-		}
 		records, bytes, baseEpoch := ds.LogStats()
 		fmt.Fprintf(os.Stderr, "egoserve: recovered epoch %d (base image at epoch %d, %d shards, %d log records, %d bytes)\n",
 			ds.Snapshot().Epoch(), baseEpoch, ds.Shards(), records, bytes)
@@ -91,9 +86,6 @@ func main() {
 		}
 		defer st.Close()
 		e = core.NewEngineFromSource(st)
-		if *shards > 1 {
-			e.Opt.Partitioner = graph.NewPartitioner(*shards)
-		}
 	}
 	e.Alg = core.Algorithm(*alg)
 	e.Opt.Workers = core.EffectiveWorkers(*workers)

@@ -422,9 +422,8 @@ func FreezeGraph(g *Graph) *Snapshot { return graph.Freeze(g) }
 // NewLiveEngine returns a query engine over a mutating graph: every query
 // pins the writer's snapshot current at execution start, so results (and
 // the Epoch stamped on each table) are version-consistent even while
-// ingest continues. Census scheduling is seeded shard-affinely through a
-// sharded writer's partitioner (results are identical at any shard
-// count).
+// ingest continues. The writer's shard count affects only ingest and
+// durability: queries plan and run the same at any shard count.
 func NewLiveEngine(w *GraphWriter) *Engine { return core.NewEngineLiveSharded(w) }
 
 // NewPartitioner returns the deterministic node-to-shard map used by

@@ -215,25 +215,38 @@ func TestEnginePanicToInternalError(t *testing.T) {
 }
 
 func TestWorkerPanicForwarded(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("worker panic was not rethrown on the coordinating goroutine")
-		}
-		wp, ok := r.(*workerPanic)
-		if !ok {
-			t.Fatalf("recovered %T (%v), want *workerPanic", r, r)
-		}
-		if wp.val != "worker boom" {
-			t.Fatalf("panic value = %v", wp.val)
-		}
-		if len(wp.stack) == 0 {
-			t.Fatal("worker panic lost its stack")
-		}
-	}()
-	parallelFor(nil, 4, 100, func(i int) {
-		if i == 17 {
-			panic("worker boom")
-		}
-	})
+	cost := func(i int) int64 { return int64(1 + i%5) }
+	for _, run := range []struct {
+		name string
+		pool func(body func(i int))
+	}{
+		{"parallelFor", func(body func(i int)) { parallelFor(nil, 4, 100, nil, func(_, i int) { body(i) }) }},
+		{"parallelMerge", func(body func(i int)) {
+			parallelMerge(nil, 4, 100, cost, make([]int64, 1), func(_ int, _ []int64, i int) { body(i) })
+		}},
+	} {
+		t.Run(run.name, func(t *testing.T) {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatal("worker panic was not rethrown on the coordinating goroutine")
+				}
+				wp, ok := r.(*workerPanic)
+				if !ok {
+					t.Fatalf("recovered %T (%v), want *workerPanic", r, r)
+				}
+				if wp.val != "worker boom" {
+					t.Fatalf("panic value = %v", wp.val)
+				}
+				if len(wp.stack) == 0 {
+					t.Fatal("worker panic lost its stack")
+				}
+			}()
+			run.pool(func(i int) {
+				if i == 17 {
+					panic("worker boom")
+				}
+			})
+		})
+	}
 }

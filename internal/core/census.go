@@ -176,25 +176,6 @@ type Options struct {
 	// limit surfaces as a *LimitError carrying partial results. The zero
 	// value imposes no limits.
 	Limits Limits
-
-	// Partitioner, when enabled (more than one shard), makes the
-	// work-stealing scheduler seed focal-node chunks shard-affinely:
-	// chunks stay within shard boundaries and land on the shard's home
-	// worker, with cross-shard stealing only when a deque drains. The
-	// zero value disables affinity. Engines over a sharded store inject
-	// the store's partitioner automatically. Affinity never changes
-	// results, only which worker computes them.
-	Partitioner graph.Partitioner
-}
-
-// focalAffinity derives the scheduler affinity for a focal-node list, or
-// nil when the partitioner is disabled.
-func (o Options) focalAffinity(focal []graph.NodeID) *affinity {
-	if !o.Partitioner.Enabled() {
-		return nil
-	}
-	p := o.Partitioner
-	return &affinity{shards: p.Shards(), shard: func(i int) int { return p.Shard(focal[i]) }}
 }
 
 func (o Options) workers() int { return EffectiveWorkers(o.Workers) }
@@ -292,7 +273,7 @@ func globalMatchesGuarded(g *graph.Graph, spec Spec, opt Options, gd *guard) ([]
 		// CN polls the guard itself; scheduling without it keeps root
 		// candidates out of the focal progress counters.
 		ForEach: func(n int, cost func(int) int64, body func(w, i int)) {
-			parallelForWorkerCost(nil, workers, n, cost, body)
+			parallelFor(nil, workers, n, cost, body)
 		},
 	})
 	if gd.stopped() {

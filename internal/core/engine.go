@@ -79,26 +79,11 @@ func NewEngineFromSource(src plan.Source) *Engine {
 // query pins the writer's latest published snapshot for its whole run
 // (planning, EXPLAIN statistics, and execution all observe one epoch,
 // reported as Table.Epoch), while the writer keeps publishing
-// concurrently. Queries never block mutation and vice versa. For a
-// sharded writer, planning statistics aggregate per-shard computations
-// and executions inherit the writer's partitioner so the census scheduler
-// seeds work shard-affinely.
+// concurrently. Queries never block mutation and vice versa. The shard
+// count only routes the writer's ingest lanes and log segments: planning
+// statistics and census scheduling are the same at every shard count.
 func NewEngineLiveSharded(w *graph.ShardedWriter) *Engine {
 	return NewEngineFromSource(plan.FromShardedWriter(w))
-}
-
-// optionsFor resolves the execution options for one run: the engine's
-// defaults, plus — when the engine serves a partitioned source and the
-// caller has not pinned a partitioner explicitly — the source's
-// partitioner for shard-affine scheduling.
-func (e *Engine) optionsFor() Options {
-	opt := e.Opt
-	if !opt.Partitioner.Enabled() {
-		if ps, ok := e.Source.(plan.PartitionedSource); ok {
-			opt.Partitioner = ps.Partitioner()
-		}
-	}
-	return opt
 }
 
 // ConfigureCaches sizes the prepared-query caches: planEntries bounds the
@@ -446,7 +431,7 @@ func (e *Engine) runContext(ctx context.Context, q *lang.SelectStmt, params map[
 		g:      g,
 		epoch:  epoch,
 		seed:   e.Seed,
-		opt:    e.optionsFor(),
+		opt:    e.Opt,
 		params: params,
 		base:   base,
 	})

@@ -50,7 +50,7 @@ func countNDBas(g *graph.Graph, spec Spec, opt Options, gd *guard) (*Result, err
 	workers := opt.workers()
 	runs := make([]*match.CountRun, workers)
 	masks := make([]*reachMask, workers)
-	parallelForWorkerCostAff(gd, workers, len(focal), focalCost, opt.focalAffinity(focal), func(w, i int) {
+	parallelFor(gd, workers, len(focal), focalCost, func(w, i int) {
 		run := runs[w]
 		if run == nil {
 			run = cn.NewCountRun()
@@ -89,7 +89,7 @@ func countNDBasSubpattern(g *graph.Graph, spec Spec, opt Options, gd *guard) (*R
 	gd.setFocalTotal(len(focal))
 	prepare(g)
 	focalCost := func(i int) int64 { return 1 + int64(g.Degree(focal[i])) }
-	parallelForWorkerCostAff(gd, opt.workers(), len(focal), focalCost, opt.focalAffinity(focal), func(w, i int) {
+	parallelFor(gd, opt.workers(), len(focal), focalCost, func(w, i int) {
 		n := focal[i]
 		s := graph.AcquireScratch(g.NumNodes())
 		reach := g.KHop(n, spec.K, s)

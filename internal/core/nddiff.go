@@ -203,7 +203,7 @@ func countNDDiff(g *graph.Graph, spec Spec, opt Options, gd *guard) (*Result, er
 		}
 		return c
 	}
-	parallelForWorkerCost(gd, workers, len(chains), chainCost, func(w, i int) {
+	parallelFor(gd, workers, len(chains), chainCost, func(w, i int) {
 		runChain(w, chains[i])
 	})
 	return res, gd.failure(res, nil)

@@ -120,7 +120,7 @@ func countNDPvot(g *graph.Graph, specs []Spec, opt Options, gd *guard) ([]*Resul
 	focal := specs[0].focalList(g)
 	gd.setFocalTotal(len(focal))
 	focalCost := func(i int) int64 { return 1 + int64(g.Degree(focal[i])) }
-	parallelForCostAff(gd, opt.workers(), len(focal), focalCost, opt.focalAffinity(focal), func(fi int) {
+	parallelFor(gd, opt.workers(), len(focal), focalCost, func(_, fi int) {
 		n := focal[fi]
 		s := graph.AcquireScratch(g.NumNodes())
 		defer s.Release()

@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -269,32 +271,56 @@ func TestBuildSchedule(t *testing.T) {
 	}
 }
 
-// TestParallelForHelpers covers the pool helpers directly: full coverage of
-// the index space, worker clamping, and merge equivalence.
+// TestParallelForHelpers covers the two pool entry points directly, with
+// uniform (nil) and skewed cost estimates: full coverage of the index
+// space, worker clamping, merge equivalence, and a guard stop that lets
+// no further item start.
 func TestParallelForHelpers(t *testing.T) {
+	skew := func(i int) int64 { return int64(1 + (i%7)*(i%7)*50) }
 	for _, workers := range []int{1, 3, 16} {
-		hits := make([]int64, 100)
-		parallelFor(nil, workers, len(hits), func(i int) { hits[i]++ })
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("parallelFor(workers=%d): index %d visited %d times", workers, i, h)
+		for _, cost := range []func(int) int64{nil, skew} {
+			name := fmt.Sprintf("workers=%d cost=%v", workers, cost != nil)
+			hits := make([]int64, 100)
+			parallelFor(nil, workers, len(hits), cost, func(w, i int) {
+				if w < 0 || w >= workers {
+					t.Errorf("%s: worker index %d out of range", name, w)
+				}
+				hits[i]++
+			})
+			for i, h := range hits {
+				if h != 1 {
+					t.Fatalf("parallelFor(%s): index %d visited %d times", name, i, h)
+				}
 			}
-		}
-		dst := make([]int64, 10)
-		parallelMerge(nil, workers, 40, dst, func(w int, counts []int64, i int) {
-			counts[i%10] += int64(i)
-		})
-		for i, v := range dst {
-			want := int64(i + (i + 10) + (i + 20) + (i + 30))
-			if v != want {
-				t.Fatalf("parallelMerge(workers=%d): slot %d = %d, want %d", workers, i, v, want)
+			dst := make([]int64, 10)
+			parallelMerge(nil, workers, 40, cost, dst, func(w int, counts []int64, i int) {
+				counts[i%10] += int64(i)
+			})
+			for i, v := range dst {
+				want := int64(i + (i + 10) + (i + 20) + (i + 30))
+				if v != want {
+					t.Fatalf("parallelMerge(%s): slot %d = %d, want %d", name, i, v, want)
+				}
 			}
-		}
-		seen := make([]int64, 25)
-		parallelForWorker(nil, workers, len(seen), func(w, i int) { seen[i]++ })
-		for i, h := range seen {
-			if h != 1 {
-				t.Fatalf("parallelForWorker(workers=%d): index %d visited %d times", workers, i, h)
+
+			// A guard stopped from inside the body: no item starts after the
+			// stop, so each worker runs at most the item it was already in.
+			for _, merge := range []bool{false, true} {
+				gd := &guard{}
+				var ran atomic.Int64
+				body := func(int) {
+					if ran.Add(1) == 5 {
+						gd.stop(context.Canceled)
+					}
+				}
+				if merge {
+					parallelMerge(gd, workers, 1000, cost, make([]int64, 1), func(_ int, _ []int64, i int) { body(i) })
+				} else {
+					parallelFor(gd, workers, 1000, cost, func(_, i int) { body(i) })
+				}
+				if got := ran.Load(); got < 5 || got > int64(4+workers) {
+					t.Fatalf("%s merge=%v: %d items ran after a stop at the 5th", name, merge, got)
+				}
 			}
 		}
 	}

@@ -147,18 +147,6 @@ func (q *wsQueue) popBack() (chunk, bool) {
 	return q.chunks[q.tail], true
 }
 
-// affinity steers chunk seeding for partitioned graphs: items are
-// grouped by shard and each shard's chunks seed the shard's home worker
-// (shard mod workers), so workers start on data their shard's ingest
-// lane produced and cross-shard traffic happens only through stealing
-// when a deque drains. Affinity changes only the seeding, never the
-// result: bodies stay commutative, so censuses are bit-identical with
-// and without it.
-type affinity struct {
-	shards int
-	shard  func(i int) int
-}
-
 // buildSchedule orders the items by descending cost (identity order when
 // cost is nil) and cuts the order into chunks of roughly equal total
 // cost. Items whose individual cost exceeds the chunk target become
@@ -209,69 +197,12 @@ func buildSchedule(n, workers int, cost func(i int) int64) (ord []int32, chunks 
 	return ord, chunks
 }
 
-// buildScheduleAff is buildSchedule for a partitioned graph: items order
-// by (shard, descending cost), chunks never span a shard boundary, and
-// every chunk carries its shard's home worker. The chunk-size target is
-// still global, so a small shard just yields fewer chunks for thieves.
-//
-//egolint:deterministic bit-identical merge contract (PR 1/PR 5): results must be equal across worker counts and steal timing
-func buildScheduleAff(n, workers int, cost func(i int) int64, aff *affinity) (ord []int32, chunks []chunk, home []int) {
-	ord = make([]int32, n)
-	for i := range ord {
-		ord[i] = int32(i)
-	}
-	shardOf := make([]int32, n)
-	costs := make([]int64, n)
-	total := int64(0)
-	for i := 0; i < n; i++ {
-		shardOf[i] = int32(aff.shard(i))
-		c := int64(1)
-		if cost != nil {
-			if c = cost(i); c < 1 {
-				c = 1
-			}
-		}
-		costs[i] = c
-		total += c
-	}
-	slices.SortStableFunc(ord, func(a, b int32) int {
-		if c := cmp.Compare(shardOf[a], shardOf[b]); c != 0 {
-			return c
-		}
-		return cmp.Compare(costs[b], costs[a])
-	})
-	target := total / int64(workers*schedChunksPerWorker)
-	if target < 1 {
-		target = 1
-	}
-	var acc int64
-	start := 0
-	cut := func(end int) {
-		chunks = append(chunks, chunk{int32(start), int32(end)})
-		home = append(home, int(shardOf[ord[start]])%workers)
-		start = end
-		acc = 0
-	}
-	for idx := 0; idx < n; idx++ {
-		acc += costs[ord[idx]]
-		atBoundary := idx+1 < n && shardOf[ord[idx+1]] != shardOf[ord[idx]]
-		if acc >= target || atBoundary {
-			cut(idx + 1)
-		}
-	}
-	if start < n {
-		cut(n)
-	}
-	return ord, chunks, home
-}
-
 // runStealing executes every scheduled item across the workers with
 // work stealing. body observes (executing worker, item index); gd (nil
-// allowed) is polled per item. home (nil allowed) assigns chunk k to a
-// specific worker's deque instead of round-robin.
+// allowed) is polled per item.
 //
 //egolint:deterministic bit-identical merge contract (PR 1/PR 5): results must be equal across worker counts and steal timing
-func runStealing(gd *guard, workers int, ord []int32, chunks []chunk, home []int, body func(w, i int)) {
+func runStealing(gd *guard, workers int, ord []int32, chunks []chunk, body func(w, i int)) {
 	queues := make([]*wsQueue, workers)
 	for w := range queues {
 		queues[w] = &wsQueue{}
@@ -279,13 +210,9 @@ func runStealing(gd *guard, workers int, ord []int32, chunks []chunk, home []int
 	// Deal chunks round-robin in descending-cost order: chunk k (the
 	// k-th costliest) goes to worker k mod workers, so every worker
 	// starts on heavy work and light chunks land at the deque backs
-	// where thieves take them first. Shard-affine schedules override the
-	// deal with each chunk's home worker.
+	// where thieves take them first.
 	for k, c := range chunks {
 		q := queues[k%workers]
-		if home != nil {
-			q = queues[home[k]]
-		}
 		q.chunks = append(q.chunks, c)
 		q.tail++
 	}
@@ -336,59 +263,21 @@ func stealFrom(queues []*wsQueue, w int) (chunk, bool) {
 	return chunk{}, false
 }
 
-// parallelFor runs body(i) for every i in [0, n) across up to `workers`
-// goroutines with uniform cost estimates. workers <= 1 (or n <= 1) runs
-// inline. body must only touch per-item or per-goroutine state.
+// parallelFor runs body(w, i) for every i in [0, n) across up to
+// `workers` goroutines; w is the executing worker's index, for bodies
+// that keep per-worker state (scratch vectors, RNGs, counting runs).
+// cost (nil means uniform) estimates each item's work and steers the
+// work-stealing schedule. workers <= 1 (or n <= 1) runs inline. body
+// must only touch per-item or per-worker state; stealing may run any
+// item on any worker, so bodies must not rely on a fixed item→worker
+// mapping for correctness.
 //
 // gd (nil allowed) is checked before each item: once it stops, no
 // further items start and every worker drains within one item. Bodies
 // with long inner loops tick the guard themselves for sub-item latency.
 //
 //egolint:deterministic bit-identical merge contract (PR 1/PR 5): results must be equal across worker counts and steal timing
-func parallelFor(gd *guard, workers, n int, body func(i int)) {
-	parallelForWorkerCost(gd, workers, n, nil, func(_, i int) { body(i) })
-}
-
-// parallelForCost is parallelFor with a per-item cost estimate steering
-// the work-stealing schedule (nil means uniform).
-//
-//egolint:deterministic bit-identical merge contract (PR 1/PR 5): results must be equal across worker counts and steal timing
-func parallelForCost(gd *guard, workers, n int, cost func(i int) int64, body func(i int)) {
-	parallelForWorkerCost(gd, workers, n, cost, func(_, i int) { body(i) })
-}
-
-// parallelForCostAff is parallelForCost with optional shard affinity
-// (nil aff behaves exactly like parallelForCost).
-//
-//egolint:deterministic bit-identical merge contract (PR 1/PR 5): results must be equal across worker counts and steal timing
-func parallelForCostAff(gd *guard, workers, n int, cost func(i int) int64, aff *affinity, body func(i int)) {
-	parallelForWorkerCostAff(gd, workers, n, cost, aff, func(_, i int) { body(i) })
-}
-
-// parallelForWorker is parallelFor with the worker index passed to the
-// body, for callers that keep per-worker state (scratch vectors, RNGs).
-// Stealing may run any item on any worker; bodies must not rely on a
-// fixed item→worker mapping for correctness.
-//
-//egolint:deterministic bit-identical merge contract (PR 1/PR 5): results must be equal across worker counts and steal timing
-func parallelForWorker(gd *guard, workers, n int, body func(w, i int)) {
-	parallelForWorkerCost(gd, workers, n, nil, body)
-}
-
-// parallelForWorkerCost is the scheduler's general form: per-item cost
-// estimates (nil = uniform) plus worker-indexed bodies.
-//
-//egolint:deterministic bit-identical merge contract (PR 1/PR 5): results must be equal across worker counts and steal timing
-func parallelForWorkerCost(gd *guard, workers, n int, cost func(i int) int64, body func(w, i int)) {
-	parallelForWorkerCostAff(gd, workers, n, cost, nil, body)
-}
-
-// parallelForWorkerCostAff adds optional shard affinity to the general
-// form: with a non-nil aff, chunks stay within shard boundaries and seed
-// their shard's home worker.
-//
-//egolint:deterministic bit-identical merge contract (PR 1/PR 5): results must be equal across worker counts and steal timing
-func parallelForWorkerCostAff(gd *guard, workers, n int, cost func(i int) int64, aff *affinity, body func(w, i int)) {
+func parallelFor(gd *guard, workers, n int, cost func(i int) int64, body func(w, i int)) {
 	if workers > n {
 		workers = n
 	}
@@ -402,57 +291,28 @@ func parallelForWorkerCostAff(gd *guard, workers, n int, cost func(i int) int64,
 		}
 		return
 	}
-	var ord []int32
-	var chunks []chunk
-	var home []int
-	if aff != nil {
-		ord, chunks, home = buildScheduleAff(n, workers, cost, aff)
-	} else {
-		ord, chunks = buildSchedule(n, workers, cost)
-	}
-	runStealing(gd, workers, ord, chunks, home, body)
+	ord, chunks := buildSchedule(n, workers, cost)
+	runStealing(gd, workers, ord, chunks, body)
 }
 
-// parallelMerge runs body(w, counts, i) for every i in [0, n), giving each
-// worker w a private int64 accumulator vector the same length as dst, and
-// sums the vectors into dst afterwards. Because int64 addition is
-// commutative and associative, the merged result is identical for every
-// worker count and steal interleaving — parallel censuses stay
-// bit-for-bit equal to sequential ones. workers <= 1 accumulates
-// directly into dst.
+// parallelMerge is parallelFor for bodies that accumulate into a count
+// vector: each worker w gets a private int64 accumulator the same length
+// as dst, and the vectors are summed into dst afterwards. Because int64
+// addition is commutative and associative, the merged result is
+// identical for every worker count and steal interleaving — parallel
+// censuses stay bit-for-bit equal to sequential ones. workers <= 1
+// accumulates directly into dst.
 //
 // On a guard stop, the per-worker vectors accumulated so far are still
 // merged, so dst holds the partial census the typed errors carry.
 //
 //egolint:deterministic bit-identical merge contract (PR 1/PR 5): results must be equal across worker counts and steal timing
-func parallelMerge(gd *guard, workers, n int, dst []int64, body func(w int, counts []int64, i int)) {
-	parallelMergeCost(gd, workers, n, nil, dst, body)
-}
-
-// parallelMergeCost is parallelMerge with a per-item cost estimate
-// steering the work-stealing schedule (nil means uniform).
-//
-//egolint:deterministic bit-identical merge contract (PR 1/PR 5): results must be equal across worker counts and steal timing
-func parallelMergeCost(gd *guard, workers, n int, cost func(i int) int64, dst []int64, body func(w int, counts []int64, i int)) {
-	parallelMergeCostAff(gd, workers, n, cost, nil, dst, body)
-}
-
-// parallelMergeCostAff is parallelMergeCost with optional shard affinity
-// (nil aff behaves exactly like parallelMergeCost).
-//
-//egolint:deterministic bit-identical merge contract (PR 1/PR 5): results must be equal across worker counts and steal timing
-func parallelMergeCostAff(gd *guard, workers, n int, cost func(i int) int64, aff *affinity, dst []int64, body func(w int, counts []int64, i int)) {
+func parallelMerge(gd *guard, workers, n int, cost func(i int) int64, dst []int64, body func(w int, counts []int64, i int)) {
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if gd.check() != nil {
-				return
-			}
-			body(0, dst, i)
-			gd.focalTick()
-		}
+		parallelFor(gd, 1, n, cost, func(_, i int) { body(0, dst, i) })
 		return
 	}
 	perWorker := make([][]int64, workers)
@@ -460,15 +320,7 @@ func parallelMergeCostAff(gd *guard, workers, n int, cost func(i int) int64, aff
 	for w := range perWorker {
 		perWorker[w] = make([]int64, len(dst))
 	}
-	var ord []int32
-	var chunks []chunk
-	var home []int
-	if aff != nil {
-		ord, chunks, home = buildScheduleAff(n, workers, cost, aff)
-	} else {
-		ord, chunks = buildSchedule(n, workers, cost)
-	}
-	runStealing(gd, workers, ord, chunks, home, func(w, i int) { body(w, perWorker[w], i) })
+	parallelFor(gd, workers, n, cost, func(w, i int) { body(w, perWorker[w], i) })
 	// Merge in worker-index order; addition commutes, so the result is
 	// independent of which worker executed which item.
 	for _, pc := range perWorker {

@@ -140,7 +140,7 @@ func (p *Prepared) ExecuteContext(ctx context.Context, params map[string]string,
 	config := e.configTag()
 	pinned, epoch := e.pin()
 
-	opt := e.optionsFor()
+	opt := e.Opt
 	if opts.Limits != nil {
 		opt.Limits = *opts.Limits
 	}

@@ -39,7 +39,7 @@ func countPTBas(g *graph.Graph, spec Spec, opt Options, gd *guard) (*Result, err
 		}
 		return c
 	}
-	parallelMergeCost(gd, opt.workers(), len(matches), matchCost, res.Counts, func(w int, counts []int64, mi int) {
+	parallelMerge(gd, opt.workers(), len(matches), matchCost, res.Counts, func(w int, counts []int64, mi int) {
 		m := matches[mi]
 		anchors := matchAnchors(spec, anchorIdx, m)
 		// One BFS per anchor; may re-traverse shared edges — that is the

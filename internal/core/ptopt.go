@@ -62,7 +62,7 @@ func ptCensusOnMatches(g *graph.Graph, spec Spec, opt Options, matches []pattern
 	// Cluster cost for the work-stealing schedule: one simultaneous
 	// traversal per cluster, driven by the number of member matches.
 	clusterCost := func(ci int) int64 { return int64(len(clusters[ci])) }
-	parallelMergeCost(gd, opt.workers(), len(clusters), clusterCost, counts, func(w int, dst []int64, ci int) {
+	parallelMerge(gd, opt.workers(), len(clusters), clusterCost, counts, func(w int, dst []int64, ci int) {
 		tr := trs[w]
 		if tr == nil {
 			tr = &traversal{

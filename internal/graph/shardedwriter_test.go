@@ -452,45 +452,6 @@ func TestRouteBatchWatermarks(t *testing.T) {
 	}
 }
 
-// TestComputeStatsShardedMatches checks per-shard statistics merge to the
-// whole-graph snapshot.
-func TestComputeStatsShardedMatches(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	g := New(false)
-	for i := 0; i < 500; i++ {
-		g.AddNode()
-	}
-	for i := 0; i < 1500; i++ {
-		g.AddEdge(NodeID(rng.Intn(500)), NodeID(rng.Intn(500)))
-	}
-	for i := 0; i < 200; i++ {
-		g.SetLabel(NodeID(rng.Intn(500)), fmt.Sprintf("L%d", rng.Intn(5)))
-	}
-	want := ComputeStats(g)
-	part := NewPartitioner(4)
-	got := ComputeStatsSharded(g, part, 4)
-	if got.Nodes != want.Nodes || got.Edges != want.Edges || got.MaxDegree != want.MaxDegree {
-		t.Fatalf("counts diverge: got %+v want %+v", got, want)
-	}
-	if !reflect.DeepEqual(got.LabelCounts, want.LabelCounts) {
-		t.Fatalf("label counts diverge")
-	}
-	for j := range want.DegreeMoments {
-		d := got.DegreeMoments[j] - want.DegreeMoments[j]
-		if d < -1e-6 || d > 1e-6 {
-			t.Fatalf("moment %d diverges: %v vs %v", j, got.DegreeMoments[j], want.DegreeMoments[j])
-		}
-	}
-	// Shard snapshots are disjoint: node counts must sum exactly.
-	sum := 0
-	for s := 0; s < part.Shards(); s++ {
-		sum += ComputeStatsShard(g, part, s).Nodes
-	}
-	if sum != want.Nodes {
-		t.Fatalf("shard node counts sum to %d, want %d", sum, want.Nodes)
-	}
-}
-
 // TestPartitionerDeterminism pins the hash: shard assignment is part of
 // the on-disk contract and must never drift.
 func TestPartitionerDeterminism(t *testing.T) {

@@ -1,7 +1,5 @@
 package graph
 
-import "sync"
-
 // Stats is an immutable statistical snapshot of a graph: counts, degree
 // moments, and label frequencies. It is what the query planner's cost
 // model consumes — cheap to compute (one pass over the degree and label
@@ -52,87 +50,6 @@ func ComputeStats(g *Graph) *Stats {
 		}
 	}
 	return s
-}
-
-// ComputeStatsShard takes the statistics snapshot of one shard: degree
-// moments and label counts over the shard's nodes, and the edges whose
-// source endpoint the shard owns (so shard edge counts sum to |E|
-// without double counting). Merging every shard's snapshot with
-// MergeStats reproduces the whole-graph statistics.
-func ComputeStatsShard(g *Graph, part Partitioner, shard int) *Stats {
-	s := &Stats{
-		Directed:    g.Directed(),
-		LabelCounts: map[string]int{},
-	}
-	for i := 0; i < g.NumNodes(); i++ {
-		n := NodeID(i)
-		if part.Shard(n) != shard {
-			continue
-		}
-		s.AddDegree(g.Degree(n))
-		if l := g.Label(n); l != NoLabel {
-			s.LabelCounts[g.Labels().Name(l)]++
-		}
-	}
-	for e := range g.edgs {
-		if part.Shard(g.edgs[e].From) == shard {
-			s.Edges++
-		}
-	}
-	return s
-}
-
-// MergeStats combines disjoint per-shard snapshots into the whole-graph
-// snapshot: counts and moments sum, the max degree is the max, and the
-// label frequencies union. Epoch is left zero for the caller to stamp.
-func MergeStats(parts []*Stats) *Stats {
-	s := &Stats{LabelCounts: map[string]int{}}
-	for _, p := range parts {
-		if p == nil {
-			continue
-		}
-		s.Directed = p.Directed
-		s.Nodes += p.Nodes
-		s.Edges += p.Edges
-		if p.MaxDegree > s.MaxDegree {
-			s.MaxDegree = p.MaxDegree
-		}
-		for j := range s.DegreeMoments {
-			s.DegreeMoments[j] += p.DegreeMoments[j]
-		}
-		for name, c := range p.LabelCounts {
-			s.LabelCounts[name] += c
-		}
-	}
-	return s
-}
-
-// ComputeStatsSharded computes the whole-graph statistics shard-parallel:
-// one goroutine per shard (capped at workers) builds its shard's
-// snapshot, and the results merge. Falls back to the sequential
-// ComputeStats when the partitioner is disabled or only one worker is
-// available, so unsharded paths get byte-for-byte the same statistics.
-func ComputeStatsSharded(g *Graph, part Partitioner, workers int) *Stats {
-	shards := part.Shards()
-	if !part.Enabled() || workers <= 1 {
-		return ComputeStats(g)
-	}
-	parts := make([]*Stats, shards)
-	var wg sync.WaitGroup
-	if workers > shards {
-		workers = shards
-	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for s := w; s < shards; s += workers {
-				parts[s] = ComputeStatsShard(g, part, s)
-			}
-		}(w)
-	}
-	wg.Wait()
-	return MergeStats(parts)
 }
 
 // AddDegree folds one node of degree d into the snapshot. Builders that

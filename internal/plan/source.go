@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"runtime"
 	"sync"
 
 	"egocensus/internal/graph"
@@ -58,22 +57,12 @@ type SnapshotSource interface {
 	StatsAt(s *graph.Snapshot) (*graph.Stats, error)
 }
 
-// PartitionedSource extends SnapshotSource for sharded backends: the
-// engine injects the source's partitioner into execution options so the
-// census scheduler can seed work shard-affinely.
-type PartitionedSource interface {
-	SnapshotSource
-	// Partitioner returns the node partitioner the backing store was
-	// created with.
-	Partitioner() graph.Partitioner
-}
-
-// ShardedWriterSource adapts a graph.ShardedWriter as a
-// PartitionedSource: every call observes the writer's latest published
-// snapshot, and statistics are memoized per epoch so only the first query
-// after a publish pays the recompute. For a sharded writer the statistics
-// snapshot is computed shard-parallel (one goroutine per shard, capped at
-// GOMAXPROCS) and merged.
+// ShardedWriterSource adapts a graph.ShardedWriter as a SnapshotSource:
+// every call observes the writer's latest published snapshot, and
+// statistics are memoized per epoch so only the first query after a
+// publish pays the recompute. Statistics come from one ComputeStats pass
+// over the snapshot's graph whatever the writer's shard count: shards
+// route ingest and durability, not reads.
 type ShardedWriterSource struct {
 	w *graph.ShardedWriter
 
@@ -91,11 +80,7 @@ func FromShardedWriter(w *graph.ShardedWriter) *ShardedWriterSource {
 // Snapshot implements SnapshotSource.
 func (s *ShardedWriterSource) Snapshot() *graph.Snapshot { return s.w.Snapshot() }
 
-// Partitioner implements PartitionedSource.
-func (s *ShardedWriterSource) Partitioner() graph.Partitioner { return s.w.Partitioner() }
-
-// StatsAt implements SnapshotSource, aggregating per-shard statistics in
-// parallel and memoizing the newest epoch's result.
+// StatsAt implements SnapshotSource, memoizing the newest epoch's result.
 func (s *ShardedWriterSource) StatsAt(snap *graph.Snapshot) (*graph.Stats, error) {
 	s.mu.Lock()
 	if s.stats != nil && s.statsEpoch == snap.Epoch() {
@@ -105,7 +90,7 @@ func (s *ShardedWriterSource) StatsAt(snap *graph.Snapshot) (*graph.Stats, error
 	}
 	s.mu.Unlock()
 	// Compute outside the lock: stats over a frozen snapshot are pure.
-	st := graph.ComputeStatsSharded(snap.Graph(), s.w.Partitioner(), runtime.GOMAXPROCS(0))
+	st := graph.ComputeStats(snap.Graph())
 	st.Epoch = snap.Epoch()
 	s.mu.Lock()
 	// Last writer wins; only overwrite a cache for an older epoch so a

@@ -374,7 +374,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	timeout := s.cfg.defaultTimeout()
 	if req.TimeoutMillis > 0 {
-		timeout = time.Duration(req.TimeoutMillis) * time.Millisecond
+		// Clamp in milliseconds first: the Duration product of a large
+		// timeout_ms overflows int64 and would come out negative.
+		timeout = time.Duration(min(req.TimeoutMillis, s.cfg.maxTimeout().Milliseconds())) * time.Millisecond
 	}
 	if max := s.cfg.maxTimeout(); timeout > max {
 		timeout = max

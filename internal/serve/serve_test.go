@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -151,6 +152,19 @@ SELECT ID, COUNTP(n1, SUBGRAPH(ID, 1)) FROM nodes
 	}
 	if resp.Partial == nil || len(resp.Partial.Rows) == 0 {
 		t.Fatalf("limit stop should carry partial rows: %+v", resp)
+	}
+}
+
+// TestServeHugeTimeoutCapped posts timeout_ms values whose Duration
+// (ms × 1e6 ns) overflows int64: they must be capped at MaxTimeout, not
+// wrap negative and cancel the query before it starts.
+func TestServeHugeTimeoutCapped(t *testing.T) {
+	s := testServer(t, Config{})
+	for _, ms := range []int64{math.MaxInt64, 1e13} {
+		req := QueryRequest{Query: serveQuery, Params: map[string]string{"k": "odd"}, TimeoutMillis: ms, NoCache: true}
+		if w, resp := postQuery(t, s, req); resp == nil {
+			t.Fatalf("timeout_ms=%d: status %d (%s)", ms, w.Code, w.Body.String())
+		}
 	}
 }
 
