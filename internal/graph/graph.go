@@ -84,6 +84,83 @@ func New(directed bool) *Graph {
 	return &Graph{directed: directed, labelDict: NewLabelDict()}
 }
 
+// FromParts builds a graph in one pass from a label dictionary, one label
+// per node and an edge table in edge-ID order, taking ownership of all
+// three. Its adjacency rows equal those an AddNodes + AddEdge loop over
+// edges would build, but are counted first and carved from one backing
+// array. Each row is capped at its length, so a later append — AddEdge on
+// this graph, or a writer's in-place append into spare capacity — moves
+// the row instead of overwriting its neighbour. It panics on an
+// out-of-range endpoint or label, as AddEdge and the accessors do.
+func FromParts(directed bool, dict *LabelDict, labels []LabelID, edges []Edge) *Graph {
+	n := len(labels)
+	for i, l := range labels {
+		if l < 0 || int(l) >= dict.Size() {
+			panic(fmt.Sprintf("graph: node %d label %d out of range [0,%d)", i, l, dict.Size()))
+		}
+	}
+	// Rows 0..n-1 are the out rows; a directed graph's in rows follow as
+	// n..2n-1. second is the row of e's second half-edge, -1 for an
+	// undirected self loop, which has only one half-edge.
+	rows := n
+	if directed {
+		rows = 2 * n
+	}
+	second := func(e Edge) int {
+		switch {
+		case directed:
+			return n + int(e.To)
+		case e.From != e.To:
+			return int(e.To)
+		}
+		return -1
+	}
+	// Count each row's length into start[row+1]; the prefix sum turns the
+	// counts into row offsets in the backing array.
+	start := make([]int, rows+1)
+	for _, e := range edges {
+		if e.From < 0 || int(e.From) >= n || e.To < 0 || int(e.To) >= n {
+			panic(fmt.Sprintf("graph: edge (%d,%d) endpoint out of range [0,%d)", e.From, e.To, n))
+		}
+		start[e.From+1]++
+		if r := second(e); r >= 0 {
+			start[r+1]++
+		}
+	}
+	for i := 1; i <= rows; i++ {
+		start[i] += start[i-1]
+	}
+	backing := make([]Half, start[rows])
+	next := append([]int(nil), start[:rows]...)
+	for id, e := range edges {
+		backing[next[e.From]] = Half{To: e.To, Edge: EdgeID(id)}
+		next[e.From]++
+		if r := second(e); r >= 0 {
+			backing[next[r]] = Half{To: e.From, Edge: EdgeID(id)}
+			next[r]++
+		}
+	}
+	all := make([][]Half, rows)
+	for v := range all {
+		if lo, hi := start[v], start[v+1]; hi > lo {
+			all[v] = backing[lo:hi:hi]
+		}
+	}
+	g := &Graph{
+		directed:  directed,
+		out:       all[:n:n],
+		edgs:      edges,
+		labels:    labels,
+		labelDict: dict,
+		nodeAttrs: make([]map[string]string, n),
+		edgeAttrs: make([]map[string]string, len(edges)),
+	}
+	if directed {
+		g.in = all[n:]
+	}
+	return g
+}
+
 // Directed reports whether the graph is directed.
 func (g *Graph) Directed() bool { return g.directed }
 

@@ -421,6 +421,52 @@ func TestPanicsOnBadIDs(t *testing.T) {
 	mustPanic("Out", func() { g.Out(-1) })
 	mustPanic("Edge", func() { g.Edge(0) })
 	mustPanic("EdgeAttr", func() { g.EdgeAttr(3, "x") })
+	mustPanic("FromParts endpoint", func() { FromParts(false, NewLabelDict(), make([]LabelID, 2), []Edge{{0, 2}}) })
+	mustPanic("FromParts label", func() { FromParts(true, NewLabelDict(), []LabelID{1}, nil) })
+}
+
+// TestFromPartsMatchesAddEdge checks the one-pass FromParts against an
+// AddNodes + AddEdge loop over the same edges, self loops and parallel
+// edges included, and that every row is capped at its length.
+func TestFromPartsMatchesAddEdge(t *testing.T) {
+	for _, directed := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(3))
+		const n = 25
+		ref := New(directed)
+		ref.AddNodes(n)
+		edges := make([]Edge, 120)
+		for i := range edges {
+			edges[i] = Edge{From: NodeID(rng.Intn(n)), To: NodeID(rng.Intn(n))}
+			ref.AddEdge(edges[i].From, edges[i].To)
+		}
+		for _, v := range []NodeID{2, 9, 17} {
+			ref.SetLabel(v, "l"+string(rune('a'+v%3)))
+		}
+		labels := append([]LabelID(nil), ref.labels...)
+		g := FromParts(directed, ref.labelDict.Clone(), labels, append([]Edge(nil), edges...))
+		if !reflect.DeepEqual(g.out, ref.out) || !reflect.DeepEqual(g.in, ref.in) || !reflect.DeepEqual(g.edgs, ref.edgs) {
+			t.Fatalf("directed=%v: rows differ from the AddEdge reference", directed)
+		}
+		for v := 0; v < n; v++ {
+			if g.LabelString(NodeID(v)) != ref.LabelString(NodeID(v)) {
+				t.Fatalf("directed=%v: node %d label %q, want %q", directed, v, g.LabelString(NodeID(v)), ref.LabelString(NodeID(v)))
+			}
+		}
+		for _, rows := range [][][]Half{g.out, g.in} {
+			for v, row := range rows {
+				if cap(row) != len(row) {
+					t.Fatalf("directed=%v: row %d has cap %d > len %d", directed, v, cap(row), len(row))
+				}
+			}
+		}
+		// The out and in rows share one row array: a node added later
+		// must not overwrite the first in row.
+		g.AddEdge(g.AddNode(), 0)
+		ref.AddEdge(ref.AddNode(), 0)
+		if !reflect.DeepEqual(g.out, ref.out) || !reflect.DeepEqual(g.in, ref.in) {
+			t.Fatalf("directed=%v: rows differ after AddNode + AddEdge", directed)
+		}
+	}
 }
 
 func TestWriteDOT(t *testing.T) {

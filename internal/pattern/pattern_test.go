@@ -1,7 +1,9 @@
 package pattern
 
 import (
+	"cmp"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -198,6 +200,50 @@ func TestCompareStringFallback(t *testing.T) {
 	if !Compare(OpGe, "5", "5") || !Compare(OpLe, "5", "5") || Compare(OpNe, "5", "5.0") {
 		t.Fatal("numeric comparisons wrong")
 	}
+}
+
+// TestCompareMatchesStrconv checks Compare's first-byte shortcut against
+// a reference that always asks strconv.ParseFloat.
+func TestCompareMatchesStrconv(t *testing.T) {
+	vals := []string{"1e3", "+Inf", "infinity", "nan", "0x1p-2", "1_000", ".5", " 1", "", "-", "b7", "e5", "7", "NaN", "nope"}
+	ref := func(op CmpOp, l, r string) bool {
+		lf, errL := strconv.ParseFloat(l, 64)
+		rf, errR := strconv.ParseFloat(r, 64)
+		if errL == nil && errR == nil {
+			return applyOp(op, lf, rf)
+		}
+		return applyOp(op, l, r)
+	}
+	for _, l := range vals {
+		for _, r := range vals {
+			for _, op := range []CmpOp{OpEq, OpNe, OpLt, OpLe, OpGt, OpGe} {
+				if got, want := Compare(op, l, r), ref(op, l, r); got != want {
+					t.Errorf("Compare(%v, %q, %q) = %v, strconv reference %v", op, l, r, got, want)
+				}
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { Compare(OpEq, "b7", "b9") }); n != 0 {
+		t.Fatalf("Compare of non-numeric operands allocates %.1f times per call", n)
+	}
+}
+
+func applyOp[T cmp.Ordered](op CmpOp, l, r T) bool {
+	switch op {
+	case OpEq:
+		return l == r
+	case OpNe:
+		return l != r
+	case OpLt:
+		return l < r
+	case OpLe:
+		return l <= r
+	case OpGt:
+		return l > r
+	case OpGe:
+		return l >= r
+	}
+	return false
 }
 
 func TestEvalAllNegatedEdges(t *testing.T) {

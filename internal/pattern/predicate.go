@@ -163,8 +163,8 @@ func (pr Predicate) Eval(g *graph.Graph, m Match) bool {
 
 // Compare applies op to two attribute values with numeric coercion.
 func Compare(op CmpOp, l, r string) bool {
-	if lf, errL := strconv.ParseFloat(l, 64); errL == nil {
-		if rf, errR := strconv.ParseFloat(r, 64); errR == nil {
+	if lf, okL := parseNumber(l); okL {
+		if rf, okR := parseNumber(r); okR {
 			switch op {
 			case OpEq:
 				return lf == rf
@@ -196,6 +196,22 @@ func Compare(op CmpOp, l, r string) bool {
 		return l >= r
 	}
 	return false
+}
+
+// parseNumber is strconv.ParseFloat(s, 64) without the allocation of a
+// failed parse: ParseFloat rejects any string whose first byte is not a
+// digit, sign, '.', or the start of "inf"/"infinity"/"nan", so those are
+// refused before it is called. Attribute values such as "b7" then cost
+// nothing per comparison.
+func parseNumber(s string) (float64, bool) {
+	if s == "" {
+		return 0, false
+	}
+	if c := s[0]; (c < '0' || c > '9') && strings.IndexByte("+-.iInN", c) < 0 {
+		return 0, false
+	}
+	f, err := strconv.ParseFloat(s, 64)
+	return f, err == nil
 }
 
 // EvalAll reports whether every pattern predicate holds on m, and that

@@ -2,9 +2,10 @@
 // binary, seekable file format holding label dictionary, adjacency lists,
 // edge table and attributes, with a CRC-checked header. The paper's
 // prototype ran over a disk-based graph engine (Neo4j); this package plays
-// that role for the Go reproduction. Save/Load materialize whole graphs;
-// Store (store.go) serves adjacency lists on demand through a block cache
-// without loading the graph into memory.
+// that role for the Go reproduction. Save writes whole graphs; Load and
+// Store.Materialize hydrate them with one sequential read per section.
+// Store (store.go) also serves single adjacency lists and attribute maps
+// on demand through a block cache, without loading the graph.
 package storage
 
 import (

@@ -45,9 +45,11 @@ func patchCRC(data []byte) []byte {
 // FuzzOpenStore feeds mutated .egoc bytes to Open: a corrupt file must be
 // rejected with an error — never a panic — and a file that opens must be
 // fully servable (materialization, adjacency, attributes) without
-// panicking. Each input is tried both raw and with its trailing CRC
-// recomputed, so mutations also explore the structural validation behind
-// the checksum gate.
+// panicking. Materialize must agree with the per-item reference on every
+// file Open accepts: both fail, or both succeed with equal graphs. Each
+// input is tried both raw and with its trailing CRC recomputed, so
+// mutations also explore the structural validation behind the checksum
+// gate.
 func FuzzOpenStore(f *testing.F) {
 	valid := validStoreBytes(f)
 	f.Add(valid)
@@ -86,7 +88,14 @@ func FuzzOpenStore(f *testing.F) {
 					break
 				}
 			}
-			st.Materialize()
+			got, errGot := st.Materialize()
+			want, errWant := materializeReference(st)
+			if (errGot == nil) != (errWant == nil) {
+				t.Fatalf("Materialize error %v, reference error %v", errGot, errWant)
+			}
+			if errGot == nil {
+				assertGraphsEqual(t, want, got)
+			}
 			st.Close()
 		}
 	})

@@ -26,7 +26,7 @@ func (st *Store) computeStats() *graph.Stats {
 	for n := 0; n < st.NumNodes(); n++ {
 		d := int((st.adjIndex[n+1]-st.adjIndex[n])/8) - 1
 		s.AddDegree(d)
-		if l := graph.LabelID(st.nodeLabel[n]); l != graph.NoLabel {
+		if l := st.nodeLabel[n]; l != graph.NoLabel {
 			s.LabelCounts[st.labels.Name(l)]++
 		}
 	}
@@ -35,9 +35,9 @@ func (st *Store) computeStats() *graph.Stats {
 
 // Graph materializes the stored graph on first use and caches it, so
 // repeated queries over one store pay the load once. Materialization is
-// single-flight: concurrent first callers wait for one load, which keeps
-// the block cache single-goroutine. A failed load is not memoized; the
-// next call retries.
+// single-flight: concurrent first callers wait for one load instead of
+// each hydrating a copy. It reads whole sections and never touches the
+// block cache. A failed load is not memoized; the next call retries.
 func (st *Store) Graph() (*graph.Graph, error) {
 	st.graphMu.Lock()
 	defer st.graphMu.Unlock()

@@ -45,6 +45,9 @@ func TestStoreGraphStatsMatchesCompute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if st.Stats != before || len(st.cache.entries) != 0 {
+			t.Fatalf("directed=%v: Open or Materialize used the block cache: %+v", directed, st.Stats)
+		}
 		want := graph.ComputeStats(full)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("directed=%v: store stats %+v != computed %+v", directed, got, want)

@@ -52,13 +52,15 @@ func assertGraphsEqual(t *testing.T, a, b *graph.Graph) {
 				t.Fatalf("node %d attr %s: %q vs %q", n, k, v, ba[k])
 			}
 		}
-		ao, bo := a.Out(id), b.Out(id)
-		if len(ao) != len(bo) {
-			t.Fatalf("node %d out degree %d vs %d", n, len(ao), len(bo))
-		}
-		for i := range ao {
-			if ao[i] != bo[i] {
-				t.Fatalf("node %d half-edge %d: %v vs %v", n, i, ao[i], bo[i])
+		for dir, rows := range [][2][]graph.Half{{a.Out(id), b.Out(id)}, {a.In(id), b.In(id)}} {
+			ao, bo := rows[0], rows[1]
+			if len(ao) != len(bo) {
+				t.Fatalf("node %d row %d degree %d vs %d", n, dir, len(ao), len(bo))
+			}
+			for i := range ao {
+				if ao[i] != bo[i] {
+					t.Fatalf("node %d row %d half-edge %d: %v vs %v", n, dir, i, ao[i], bo[i])
+				}
 			}
 		}
 	}

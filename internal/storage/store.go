@@ -19,14 +19,15 @@ const DefaultCacheBlocks = 1024
 
 // Store serves a graph file without materializing it: the header, label
 // dictionary, per-node labels, adjacency index and attribute indexes are
-// resident; adjacency and attribute payloads are read on demand through a
-// fixed-capacity block cache.
+// resident. Open reads each section it indexes with one ReadAt.
 //
-// The on-demand readers (Adjacency, EdgeEndpoints, NodeAttrs, EdgeAttrs,
-// Materialize) share the block cache and are not safe for concurrent use.
-// GraphStats and Graph — the plan.Source methods a shared query engine
-// calls — are: each computes once, single-flight, however many first
-// queries race for it.
+// Materialize (and Graph, which memoizes it) hydrates the whole graph
+// with one sequential read per section it needs. The on-demand readers
+// (Adjacency, EdgeEndpoints, NodeAttrs, EdgeAttrs) instead read single
+// items through a fixed-capacity block cache; they share it and are not
+// safe for concurrent use. GraphStats and Graph — the plan.Source methods
+// a shared query engine calls — are: each computes once, single-flight,
+// however many first queries race for it.
 type Store struct {
 	f    fault.File
 	path string
@@ -34,7 +35,7 @@ type Store struct {
 	h    header
 
 	labels    *graph.LabelDict
-	nodeLabel []uint32
+	nodeLabel []graph.LabelID
 	adjIndex  []uint64 // NumNodes+1 offsets into the adjacency data
 
 	nodeAttrAt map[uint32]int64 // node -> file offset of its attr entry
@@ -221,18 +222,19 @@ func (st *Store) validateHeader() error {
 }
 
 func (st *Store) readLabelTable() error {
+	buf, err := st.readSection(st.h.LabelTableOff, st.h.NodeLabelOff)
+	if err != nil {
+		return err
+	}
 	st.labels = graph.NewLabelDict()
-	off := int64(st.h.LabelTableOff)
-	end := int64(st.h.NodeLabelOff)
+	p := uint64(0)
 	for i := uint32(0); i < st.h.NumLabels; i++ {
-		if off >= end {
+		b, next, ok := str16(buf, p)
+		if !ok {
 			return st.corrupt("label table overruns its section at label %d", i)
 		}
-		s, n, err := st.readStr16(off)
-		if err != nil {
-			return err
-		}
-		off += n
+		p = next
+		s := string(b)
 		if i == 0 {
 			if s != "" {
 				return st.corrupt("label 0 must be the empty label")
@@ -241,8 +243,8 @@ func (st *Store) readLabelTable() error {
 		}
 		st.labels.Intern(s)
 	}
-	if off != end {
-		return st.corrupt("label table ends at %d, section at %d", off, end)
+	if p != uint64(len(buf)) {
+		return st.corrupt("label table ends at %d, section at %d", st.h.LabelTableOff+p, st.h.NodeLabelOff)
 	}
 	// Intern dedupes, so a repeated name would silently shift every later
 	// label ID off by one.
@@ -253,25 +255,24 @@ func (st *Store) readLabelTable() error {
 }
 
 func (st *Store) readNodeLabels() error {
-	buf := make([]byte, 4*st.h.NumNodes)
-	if len(buf) > 0 {
-		if _, err := st.f.ReadAt(buf, int64(st.h.NodeLabelOff)); err != nil {
-			return err
-		}
+	buf, err := st.readSection(st.h.NodeLabelOff, st.h.AdjIndexOff)
+	if err != nil {
+		return err
 	}
-	st.nodeLabel = make([]uint32, st.h.NumNodes)
+	st.nodeLabel = make([]graph.LabelID, st.h.NumNodes)
 	for i := range st.nodeLabel {
-		st.nodeLabel[i] = binary.LittleEndian.Uint32(buf[4*i:])
-		if st.nodeLabel[i] >= st.h.NumLabels {
-			return st.corrupt("node %d label %d out of range (%d labels)", i, st.nodeLabel[i], st.h.NumLabels)
+		l := binary.LittleEndian.Uint32(buf[4*i:])
+		if l >= st.h.NumLabels {
+			return st.corrupt("node %d label %d out of range (%d labels)", i, l, st.h.NumLabels)
 		}
+		st.nodeLabel[i] = graph.LabelID(l)
 	}
 	return nil
 }
 
 func (st *Store) readAdjIndex() error {
-	buf := make([]byte, 8*(st.h.NumNodes+1))
-	if _, err := st.f.ReadAt(buf, int64(st.h.AdjIndexOff)); err != nil {
+	buf, err := st.readSection(st.h.AdjIndexOff, st.h.AdjDataOff)
+	if err != nil {
 		return err
 	}
 	st.adjIndex = make([]uint64, st.h.NumNodes+1)
@@ -290,56 +291,100 @@ func (st *Store) readAdjIndex() error {
 	return nil
 }
 
-// indexAttrSection scans an attribute section once, recording the file
-// offset of each entry. end bounds the section and maxID the valid object
-// ids, so a corrupt count or entry errors instead of scanning into later
-// sections or indexing attributes for nonexistent objects.
+// indexAttrSection indexes an attribute section, recording the file
+// offset of each entry for the on-demand readers.
 func (st *Store) indexAttrSection(sectionOff, end, maxID uint64) (map[uint32]int64, error) {
-	idx := make(map[uint32]int64)
-	off := int64(sectionOff)
-	count, err := st.readU32(off)
+	sec, err := st.readAttrSection(sectionOff, end, maxID)
 	if err != nil {
 		return nil, err
 	}
-	if uint64(count) > maxID {
-		return nil, st.corrupt("attribute section at %d claims %d entries for %d objects", sectionOff, count, maxID)
-	}
-	off += 4
-	for i := uint32(0); i < count; i++ {
-		if uint64(off) >= end {
-			return nil, st.corrupt("attribute section at %d overruns its end %d at entry %d", sectionOff, end, i)
-		}
-		id, err := st.readU32(off)
-		if err != nil {
-			return nil, err
-		}
-		if uint64(id) >= maxID {
-			return nil, st.corrupt("attribute entry for object %d out of range (%d objects)", id, maxID)
-		}
+	idx := make(map[uint32]int64, sec.count)
+	err = sec.walk(func(id uint32, off int64) error {
 		if _, dup := idx[id]; dup {
-			return nil, st.corrupt("duplicate attribute entry for object %d", id)
+			return st.corrupt("duplicate attribute entry for object %d", id)
 		}
 		idx[id] = off
-		off += 4
-		pairs, err := st.readU16(off)
-		if err != nil {
-			return nil, err
+		return nil
+	}, nil)
+	if err != nil {
+		return nil, err
+	}
+	return idx, nil
+}
+
+// attrSection is one attribute section read whole: a u32 entry count,
+// then per entry a u32 object id, a u16 pair count and that many str16
+// key/value pairs.
+type attrSection struct {
+	st    *Store
+	off   uint64 // file offset of buf[0]
+	maxID uint64 // object count of the section's ID space
+	buf   []byte
+	count uint32
+}
+
+// readAttrSection reads the attribute section [off, end) with one ReadAt
+// and checks its entry count against maxID and against the entries the
+// section can hold, before the count sizes anything.
+func (st *Store) readAttrSection(off, end, maxID uint64) (*attrSection, error) {
+	buf, err := st.readSection(off, end)
+	if err != nil {
+		return nil, err
+	}
+	// validateHeader guarantees the 4-byte count.
+	count := binary.LittleEndian.Uint32(buf)
+	if uint64(count) > maxID {
+		return nil, st.corrupt("attribute section at %d claims %d entries for %d objects", off, count, maxID)
+	}
+	// An entry is at least an id and a pair count (6 bytes).
+	if 6*uint64(count) > uint64(len(buf)-4) {
+		return nil, st.corrupt("attribute section at %d claims %d entries in %d bytes", off, count, len(buf))
+	}
+	return &attrSection{st: st, off: off, maxID: maxID, buf: buf, count: count}, nil
+}
+
+// walk decodes the section in memory, calling entry (if non-nil) with
+// each entry's object id and file offset, and pair (if non-nil) with each
+// of its key/value pairs. The slices pair receives alias the section
+// buffer. A length that runs past the section end, an id outside maxID,
+// or bytes left after the last entry yield a *CorruptFileError.
+func (s *attrSection) walk(entry func(id uint32, off int64) error, pair func(id uint32, k, v []byte)) error {
+	buf, size := s.buf, uint64(len(s.buf))
+	p := uint64(4)
+	overrun := func(i uint32) error {
+		return s.st.corrupt("attribute section at %d overruns its end %d at entry %d", s.off, s.off+size, i)
+	}
+	for i := uint32(0); i < s.count; i++ {
+		if p+6 > size {
+			return overrun(i)
 		}
-		off += 2
-		for p := uint16(0); p < pairs; p++ {
-			for s := 0; s < 2; s++ {
-				l, err := st.readU16(off)
-				if err != nil {
-					return nil, err
-				}
-				off += 2 + int64(l)
+		id := binary.LittleEndian.Uint32(buf[p:])
+		if uint64(id) >= s.maxID {
+			return s.st.corrupt("attribute entry for object %d out of range (%d objects)", id, s.maxID)
+		}
+		if entry != nil {
+			if err := entry(id, int64(s.off+p)); err != nil {
+				return err
+			}
+		}
+		pairs := binary.LittleEndian.Uint16(buf[p+4:])
+		p += 6
+		for j := uint16(0); j < pairs; j++ {
+			k, next, okK := str16(buf, p)
+			v, next, okV := str16(buf, next)
+			if !okK || !okV {
+				return overrun(i)
+			}
+			p = next
+			if pair != nil {
+				pair(id, k, v)
 			}
 		}
 	}
-	if uint64(off) != end {
-		return nil, st.corrupt("attribute section [%d,%d) ends at %d", sectionOff, end, off)
+	if p != size {
+		return s.st.corrupt("attribute section [%d,%d) ends at %d", s.off, s.off+size, s.off+p)
 	}
-	return idx, nil
+	return nil
 }
 
 // Close releases the underlying file.
@@ -362,9 +407,7 @@ func (st *Store) NumEdges() int { return int(st.h.NumEdges) }
 func (st *Store) Labels() *graph.LabelDict { return st.labels }
 
 // Label returns the label of node n.
-func (st *Store) Label(n graph.NodeID) graph.LabelID {
-	return graph.LabelID(st.nodeLabel[n])
-}
+func (st *Store) Label(n graph.NodeID) graph.LabelID { return st.nodeLabel[n] }
 
 // Adjacency reads node n's adjacency lists from disk (through the cache).
 func (st *Store) Adjacency(n graph.NodeID) (out, in []graph.Half, err error) {
@@ -429,14 +472,18 @@ func (st *Store) EdgeEndpoints(e graph.EdgeID) (from, to graph.NodeID, err error
 	if err != nil {
 		return 0, 0, err
 	}
-	from = graph.NodeID(binary.LittleEndian.Uint32(buf))
-	to = graph.NodeID(binary.LittleEndian.Uint32(buf[4:]))
-	// Endpoint validation here keeps Materialize from panicking the graph
-	// builder on a corrupt edge table.
-	if uint64(from) >= st.h.NumNodes || uint64(to) >= st.h.NumNodes {
-		return 0, 0, st.corrupt("edge %d endpoints (%d,%d) out of range (%d nodes)", e, from, to, st.h.NumNodes)
+	return st.edgeAt(buf, e)
+}
+
+// edgeAt decodes the edge-table entry of edge e held in buf, checking its
+// endpoints so a corrupt table errors instead of panicking
+// graph.FromParts or AddEdge.
+func (st *Store) edgeAt(buf []byte, e graph.EdgeID) (from, to graph.NodeID, err error) {
+	f, t := binary.LittleEndian.Uint32(buf), binary.LittleEndian.Uint32(buf[4:])
+	if uint64(f) >= st.h.NumNodes || uint64(t) >= st.h.NumNodes {
+		return 0, 0, st.corrupt("edge %d endpoints (%d,%d) out of range (%d nodes)", e, f, t, st.h.NumNodes)
 	}
-	return from, to, nil
+	return graph.NodeID(f), graph.NodeID(t), nil
 }
 
 // NodeAttrs reads the attributes of node n (excluding the label).
@@ -477,41 +524,82 @@ func (st *Store) readAttrs(idx map[uint32]int64, id uint32) (map[string]string, 
 	return m, nil
 }
 
-// Materialize loads the entire stored graph into memory.
+// Materialize loads the entire stored graph into memory. It reads the
+// edge table and each attribute section with one ReadAt and decodes them
+// in memory, bypassing the block cache: graph.FromParts builds the
+// adjacency in one pass, with a copy of the store's label dictionary so
+// stored label IDs stay graph label IDs, and attributes go straight into
+// the graph with the strings each section repeats interned once.
 func (st *Store) Materialize() (*graph.Graph, error) {
-	g := graph.New(st.Directed())
-	g.AddNodes(st.NumNodes())
-	for n := 0; n < st.NumNodes(); n++ {
-		id := graph.NodeID(n)
-		if l := st.Label(id); l != graph.NoLabel {
-			g.SetLabel(id, st.labels.Name(l))
-		}
-		attrs, err := st.NodeAttrs(id)
-		if err != nil {
+	buf, err := st.readSection(st.h.EdgeTableOff, st.h.NodeAttrOff)
+	if err != nil {
+		return nil, err
+	}
+	edges := make([]graph.Edge, st.h.NumEdges)
+	for e := range edges {
+		if edges[e].From, edges[e].To, err = st.edgeAt(buf[8*e:], graph.EdgeID(e)); err != nil {
 			return nil, err
-		}
-		for k, v := range attrs {
-			g.SetNodeAttr(id, k, v)
 		}
 	}
-	for e := 0; e < st.NumEdges(); e++ {
-		from, to, err := st.EdgeEndpoints(graph.EdgeID(e))
-		if err != nil {
-			return nil, err
-		}
-		eid := g.AddEdge(from, to)
-		if eid != graph.EdgeID(e) {
-			return nil, fmt.Errorf("storage: edge id drift (%d != %d)", eid, e)
-		}
-		attrs, err := st.EdgeAttrs(graph.EdgeID(e))
-		if err != nil {
-			return nil, err
-		}
-		for k, v := range attrs {
-			g.SetEdgeAttr(eid, k, v)
-		}
+	labels := append([]graph.LabelID(nil), st.nodeLabel...)
+	g := graph.FromParts(st.Directed(), st.labels.Clone(), labels, edges)
+
+	if err := st.hydrateAttrs(st.h.NodeAttrOff, st.h.EdgeAttrOff, st.h.NumNodes, func(id uint32, k, v string) {
+		g.SetNodeAttr(graph.NodeID(id), k, v)
+	}); err != nil {
+		return nil, err
+	}
+	if err := st.hydrateAttrs(st.h.EdgeAttrOff, st.h.CRCOff, st.h.NumEdges, func(id uint32, k, v string) {
+		g.SetEdgeAttr(graph.EdgeID(id), k, v)
+	}); err != nil {
+		return nil, err
 	}
 	return g, nil
+}
+
+// hydrateAttrs reads an attribute section and passes every pair to set.
+// Equal keys and values within the section share one string, so 2 000
+// "bucket" keys cost one allocation.
+func (st *Store) hydrateAttrs(off, end, maxID uint64, set func(id uint32, k, v string)) error {
+	sec, err := st.readAttrSection(off, end, maxID)
+	if err != nil {
+		return err
+	}
+	interned := map[string]string{}
+	str := func(b []byte) string {
+		if s, ok := interned[string(b)]; ok {
+			return s
+		}
+		s := string(b)
+		interned[s] = s
+		return s
+	}
+	return sec.walk(nil, func(id uint32, k, v []byte) { set(id, str(k), str(v)) })
+}
+
+// str16 decodes the length-prefixed string at buf[p:] and returns the
+// offset after it; ok is false when the string runs past buf.
+func str16(buf []byte, p uint64) (s []byte, next uint64, ok bool) {
+	if p+2 > uint64(len(buf)) {
+		return nil, p, false
+	}
+	next = p + 2 + uint64(binary.LittleEndian.Uint16(buf[p:]))
+	if next > uint64(len(buf)) {
+		return nil, p, false
+	}
+	return buf[p+2 : next], next, true
+}
+
+// readSection reads the section [off, end) with one ReadAt. validateHeader
+// has bounded every section by the file size.
+func (st *Store) readSection(off, end uint64) ([]byte, error) {
+	buf := make([]byte, end-off)
+	if len(buf) > 0 {
+		if _, err := st.f.ReadAt(buf, int64(off)); err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 // --- low-level cached reads ---
@@ -592,9 +680,10 @@ func (st *Store) block(id int64) ([]byte, error) {
 }
 
 // blockCache is a fixed-capacity cache with CLOCK (second chance)
-// eviction. It is single-goroutine by contract: even a hit mutates the
-// entry's use bit and the Store's hit counters, so callers serialize all
-// access (Store.Graph holds graphMu across Materialize for exactly this).
+// eviction serving the on-demand readers; Open and Materialize read whole
+// sections past it. It is single-goroutine by contract: even a hit
+// mutates the entry's use bit and the Store's hit counters, so callers
+// serialize all access.
 type blockCache struct {
 	capacity int
 	entries  map[int64]*cacheEntry
