@@ -240,16 +240,6 @@ func CountApprox(g *Graph, spec Spec, sampleRate float64, opt Options) (*ApproxR
 	return core.CountApprox(g, spec, sampleRate, opt)
 }
 
-// Incremental maintains a census over a growing graph: per-node counts are
-// updated after every AddEdge without recomputation.
-type Incremental = core.Incremental
-
-// NewIncremental computes the initial census and returns the maintained
-// state; grow the graph through its AddNode/AddEdge methods.
-func NewIncremental(g *Graph, spec Spec, opt Options) (*Incremental, error) {
-	return core.NewIncremental(g, spec, opt)
-}
-
 // CountMany evaluates several censuses sharing one radius and focal set in
 // a single pass, amortizing the per-node neighborhood traversal across
 // patterns.
@@ -395,8 +385,8 @@ type (
 	// consume these.
 	MutationBatch = graph.Delta
 	// Maintainer keeps registered census queries incrementally up to
-	// date against the batches a GraphWriter publishes, without
-	// recomputation.
+	// date against the snapshots a GraphWriter publishes, one batch at a
+	// time, without recomputation and without a graph copy of its own.
 	Maintainer = core.Maintainer
 	// DynamicStore durably backs a mutating graph: a base .egoc image
 	// plus an fsynced append-only mutation log, with crash recovery on
@@ -404,7 +394,7 @@ type (
 	DynamicStore = storage.DynamicStore
 	// Partitioner is the deterministic node-to-shard map of a sharded
 	// store; its shard count is fixed at creation and recorded in the
-	// image header. The zero value is disabled (one shard).
+	// image header. The zero value has one shard.
 	Partitioner = graph.Partitioner
 )
 
@@ -443,7 +433,8 @@ func CountPairsSnapshot(s *Snapshot, spec PairSpec, alg Algorithm, opt Options) 
 }
 
 // NewMaintainer starts incremental census maintenance from snapshot s;
-// Register queries, then Attach the maintainer to the snapshot's writer.
+// Register queries, then Attach the maintainer to the snapshot's writer
+// (or feed it each published snapshot and batch with Apply).
 func NewMaintainer(s *Snapshot) *Maintainer { return core.NewMaintainer(s) }
 
 // CreateDynamic initializes a durable dynamic store at basePath from g

@@ -222,8 +222,8 @@ SELECT ID, COUNTP(tri, SUBGRAPH(ID, 1)) FROM nodes`)
 }
 
 func TestFacadeShardedStore(t *testing.T) {
-	if p := NewPartitioner(4); !p.Enabled() || p.Shards() != 4 {
-		t.Fatalf("partitioner: enabled=%v shards=%d", p.Enabled(), p.Shards())
+	if p := NewPartitioner(4); p.Shards() != 4 {
+		t.Fatalf("partitioner: shards=%d", p.Shards())
 	}
 
 	// Live sharded writer + engine: queries answer while lanes ingest.

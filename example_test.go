@@ -97,22 +97,35 @@ func ExampleTopK() {
 	// node 2: 2
 }
 
-// ExampleNewIncremental maintains counts while the graph grows.
-func ExampleNewIncremental() {
+// ExampleNewMaintainer maintains counts while a writer grows the graph.
+func ExampleNewMaintainer() {
 	g := egocensus.NewGraph(false)
 	for i := 0; i < 3; i++ {
 		g.AddNode()
 	}
 	g.AddEdge(0, 1)
 	g.AddEdge(1, 2)
+	w := egocensus.NewWriter(g, 1)
+	mt := egocensus.NewMaintainer(w.Snapshot())
 	spec := egocensus.Spec{Pattern: egocensus.CliquePattern("tri", 3, nil), K: 1}
-	inc, err := egocensus.NewIncremental(g, spec, egocensus.Options{})
+	if err := mt.Register("tri", spec, egocensus.Options{}); err != nil {
+		panic(err)
+	}
+	stop := mt.Attach(w)
+	defer stop()
+	before, _ := mt.NumMatches("tri")
+	fmt.Println("before:", before)
+	w.AddEdge(0, 2) // closes the triangle
+	s, err := w.Publish()
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("before:", inc.NumMatches())
-	inc.AddEdge(0, 2) // closes the triangle
-	fmt.Println("after:", inc.NumMatches(), "count at node 0:", inc.Counts()[0])
+	if _, err := mt.CatchUp(s.Epoch()); err != nil {
+		panic(err)
+	}
+	after, _ := mt.NumMatches("tri")
+	counts, _, _ := mt.Counts("tri")
+	fmt.Println("after:", after, "count at node 0:", counts[0])
 	// Output:
 	// before: 0
 	// after: 1 count at node 0: 1

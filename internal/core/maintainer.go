@@ -2,20 +2,48 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"egocensus/internal/graph"
+	"egocensus/internal/match"
+	"egocensus/internal/pattern"
 )
 
 // Maintainer keeps any number of registered census queries incrementally
-// up to date against a stream of published mutation batches (graph.Delta)
-// from a graph.ShardedWriter. It owns a private mutable replica of the
-// graph — cloned from the snapshot it starts at — so it controls exactly
-// when each mutation lands: for an edge insertion, every query's pre-insertion
-// state is collected first (Incremental.beforeAdd), the replica mutates
-// once, then every query applies its update (afterAdd). Label changes
-// fall outside the incremental update rules and trigger a per-query
-// rebuild at the end of the batch.
+// up to date against the snapshots a graph.ShardedWriter publishes. This
+// extends the paper toward dynamic graphs (its algorithms are
+// batch-only); deletions are not supported because the writer's graph is
+// append-only.
+//
+// The maintainer holds no graph of its own. It pins the last snapshot it
+// applied, S(e-1), and folds each published batch in once, reading S(e-1)
+// and the batch's own snapshot S(e); both are immutable. A batch changes
+// a census in three ways, each handled separately:
+//
+//  1. Births. Every new match maps some positive pattern edge onto a new
+//     edge (u, v), and the pattern's positive-edge graph is connected, so
+//     the whole match lies in N_r(u) ∩ N_r(v) on S(e), r being that
+//     graph's diameter. One masked CN run per new edge over that region
+//     finds it; a match whose canonical key is new is registered and
+//     N_{S(e)}[M] credited. A match born and killed within one batch is
+//     never found.
+//  2. Deaths. Matches die only through negated edges (or predicates) the
+//     batch completes: a live match containing both endpoints of a new
+//     edge that fails EvalAll on S(e) dies, and N_{S(e-1)}[M] is
+//     subtracted.
+//  3. Growth. Shortest distances only shrink, so a surviving match can
+//     only gain containing nodes, and only if an anchor image lies within
+//     k-1 hops of a batch endpoint on S(e-1) (the shortest new path
+//     reaches its first new edge over old edges). One multi-source BFS
+//     finds those matches; each is credited N_{S(e)}[M] \ N_{S(e-1)}[M].
+//
+// A label change on an existing node — or, for a pattern with
+// predicates, an attribute write on an existing node or edge — can create
+// and destroy matches anywhere, and rebuilds the query on S(e). A batch
+// whose growth and crediting work is priced above a recount still applies
+// births and deaths to the match set, then recounts on S(e) from the live
+// matches (see apply).
 //
 // Attach subscribes a maintainer to a writer with an unbounded queue and
 // a worker goroutine, so publishes never wait on census maintenance;
@@ -25,23 +53,27 @@ type Maintainer struct {
 	mu      sync.Mutex
 	applied sync.Cond
 
-	g         *graph.Graph // private mutable replica
-	epoch     uint64       // last applied batch
-	queries   map[string]*Incremental
-	queue     []graph.Delta
+	snap      *graph.Snapshot // last applied version, S(e-1) of the next batch
+	queries   map[string]*maintained
+	queue     []published
 	queueCond sync.Cond
 	stopped   bool
 	workerErr error
 }
 
-// NewMaintainer starts maintenance from snapshot s: the replica graph is
-// a deep clone of s, and deltas are accepted strictly in epoch order from
+// published is one queued batch with the snapshot it produced.
+type published struct {
+	s *graph.Snapshot
+	d graph.Delta
+}
+
+// NewMaintainer starts maintenance from snapshot s: queries register
+// against s, and batches are accepted strictly in epoch order from
 // s.Epoch()+1 on.
 func NewMaintainer(s *graph.Snapshot) *Maintainer {
 	mt := &Maintainer{
-		g:       s.Graph().Clone(),
-		epoch:   s.Epoch(),
-		queries: map[string]*Incremental{},
+		snap:    s,
+		queries: map[string]*maintained{},
 	}
 	mt.applied.L = &mt.mu
 	mt.queueCond.L = &mt.mu
@@ -49,104 +81,100 @@ func NewMaintainer(s *graph.Snapshot) *Maintainer {
 }
 
 // Register adds a census query under a name, computing its initial state
-// against the replica's current version. Registering a duplicate name or
-// an unsupported spec (see NewIncremental) fails.
+// against the last applied snapshot. The query must track all nodes (nil
+// Focal) and its pattern needs at least one positive edge: an
+// isolated-node pattern would gain matches on AddNode, which no new edge
+// explains. Registering a duplicate name or an unsupported spec fails.
 func (mt *Maintainer) Register(name string, spec Spec, opt Options) error {
 	mt.mu.Lock()
 	defer mt.mu.Unlock()
 	if _, dup := mt.queries[name]; dup {
 		return fmt.Errorf("census: maintained query %q already registered", name)
 	}
-	inc, err := NewIncremental(mt.g, spec, opt)
-	if err != nil {
+	g := mt.snap.Graph()
+	if spec.Focal != nil {
+		return fmt.Errorf("census: incremental maintenance tracks all nodes; Focal must be nil")
+	}
+	if err := spec.Validate(g); err != nil {
 		return err
 	}
-	mt.queries[name] = inc
+	if !slices.ContainsFunc(spec.Pattern.Edges(), func(e pattern.Edge) bool { return !e.Negated }) {
+		return fmt.Errorf("census: incremental maintenance requires a pattern with at least one positive edge")
+	}
+	q := &maintained{spec: spec, opt: opt, anchorIdx: spec.anchorNodes(), subNodes: spec.subNodesForKey()}
+	q.rebuild(g)
+	mt.queries[name] = q
 	return nil
 }
 
-// Apply folds one published batch into the replica and every registered
-// query. Batches must arrive in epoch order; an already-applied epoch is
-// skipped (idempotent replay), a gap is an error.
-func (mt *Maintainer) Apply(d graph.Delta) error {
+// Apply folds one published batch into every registered query: s is the
+// snapshot the batch produced and d the batch, as ShardedWriter.Subscribe
+// delivers them. Batches must arrive in epoch order; an already-applied
+// epoch is skipped (idempotent replay), a gap is an error.
+func (mt *Maintainer) Apply(s *graph.Snapshot, d graph.Delta) error {
 	mt.mu.Lock()
 	defer mt.mu.Unlock()
-	return mt.applyLocked(d)
+	return mt.applyLocked(s, d)
 }
 
-func (mt *Maintainer) applyLocked(d graph.Delta) error {
-	if d.Epoch <= mt.epoch {
+func (mt *Maintainer) applyLocked(s *graph.Snapshot, d graph.Delta) error {
+	epoch := mt.snap.Epoch()
+	if d.Epoch <= epoch {
 		return nil
 	}
-	if d.Epoch != mt.epoch+1 {
-		return fmt.Errorf("census: delta epoch %d arrived with maintainer at %d (gap)", d.Epoch, mt.epoch)
+	if d.Epoch != epoch+1 || s.Epoch() != d.Epoch {
+		return fmt.Errorf("census: delta epoch %d (snapshot %d) arrived with maintainer at %d (gap)", d.Epoch, s.Epoch(), epoch)
 	}
-	needRebuild := false
+	prev, cur := mt.snap.Graph(), s.Graph()
+	var edges [][2]graph.NodeID
+	relabeled, attrs := false, false
 	for _, op := range d.Ops {
 		switch op.Kind {
 		case graph.OpAddNode:
-			mt.g.AddNode()
-			for _, inc := range mt.queries {
-				inc.noteNode()
-			}
 		case graph.OpAddEdge:
-			u, v := graph.NodeID(op.A), graph.NodeID(op.B)
-			if needRebuild {
-				// Incremental state is already invalid this batch; just
-				// mutate the replica, the rebuild below covers everything.
-				mt.g.AddEdge(u, v)
-				continue
-			}
-			txns := make(map[string]*edgeTxn, len(mt.queries))
-			for name, inc := range mt.queries {
-				txns[name] = inc.beforeAdd(u, v)
-			}
-			mt.g.AddEdge(u, v)
-			for name, inc := range mt.queries {
-				inc.afterAdd(txns[name])
+			if op.A != op.B {
+				edges = append(edges, [2]graph.NodeID{graph.NodeID(op.A), graph.NodeID(op.B)})
 			}
 		case graph.OpSetLabel:
-			if mt.g.LabelString(graph.NodeID(op.A)) != op.Val {
-				mt.g.SetLabel(graph.NodeID(op.A), op.Val)
-				needRebuild = true
-			}
+			relabeled = relabeled || labelChanged(prev, cur, op.A)
 		case graph.OpSetNodeAttr:
 			if op.Key == graph.LabelAttr {
-				if mt.g.LabelString(graph.NodeID(op.A)) != op.Val {
-					mt.g.SetLabel(graph.NodeID(op.A), op.Val)
-					needRebuild = true
-				}
-				continue
+				relabeled = relabeled || labelChanged(prev, cur, op.A)
+			} else {
+				attrs = attrs || int(op.A) < prev.NumNodes()
 			}
-			// Non-label attributes never participate in pattern matching.
-			mt.g.SetNodeAttr(graph.NodeID(op.A), op.Key, op.Val)
 		case graph.OpSetEdgeAttr:
-			mt.g.SetEdgeAttr(graph.EdgeID(op.A), op.Key, op.Val)
+			attrs = attrs || int(op.A) < prev.NumEdges()
 		default:
 			return fmt.Errorf("census: delta epoch %d carries unknown op kind %d", d.Epoch, op.Kind)
 		}
 	}
-	if needRebuild {
-		for _, inc := range mt.queries {
-			inc.rebuild()
-		}
+	for _, q := range mt.queries {
+		q.apply(prev, cur, edges, relabeled || attrs && len(q.spec.Pattern.Predicates()) > 0)
 	}
-	mt.epoch = d.Epoch
+	mt.snap = s
 	mt.applied.Broadcast()
 	return nil
 }
 
+// labelChanged reports whether a pre-existing node's label differs
+// between the two versions; a node the batch created has no matches yet.
+func labelChanged(prev, cur *graph.Graph, n int32) bool {
+	return int(n) < prev.NumNodes() && prev.LabelString(graph.NodeID(n)) != cur.LabelString(graph.NodeID(n))
+}
+
 // Attach subscribes the maintainer to w: every batch the writer publishes
-// is queued and applied by a worker goroutine, so publishing never waits
-// on census maintenance. The returned stop function detaches the worker
-// (already-queued batches are dropped); the subscription on w remains but
-// becomes a cheap no-op. The maintainer must be positioned at the
-// writer's current epoch (or earlier batches must already be queued).
+// is queued with its snapshot and applied by a worker goroutine, so
+// publishing never waits on census maintenance. The returned stop
+// function detaches the worker (already-queued batches are dropped); the
+// subscription on w remains but becomes a cheap no-op. The maintainer
+// must be positioned at the writer's current epoch (or earlier batches
+// must already be queued).
 func (mt *Maintainer) Attach(w *graph.ShardedWriter) (stop func()) {
-	w.Subscribe(func(_ *graph.Snapshot, d graph.Delta) {
+	w.Subscribe(func(s *graph.Snapshot, d graph.Delta) {
 		mt.mu.Lock()
 		if !mt.stopped {
-			mt.queue = append(mt.queue, d)
+			mt.queue = append(mt.queue, published{s, d})
 			mt.queueCond.Signal()
 		}
 		mt.mu.Unlock()
@@ -171,9 +199,10 @@ func (mt *Maintainer) worker() {
 		if mt.stopped {
 			return
 		}
-		d := mt.queue[0]
+		p := mt.queue[0]
+		mt.queue[0] = published{}
 		mt.queue = mt.queue[1:]
-		if err := mt.applyLocked(d); err != nil {
+		if err := mt.applyLocked(p.s, p.d); err != nil {
 			mt.workerErr = err
 			mt.stopped = true
 			mt.applied.Broadcast()
@@ -188,17 +217,17 @@ func (mt *Maintainer) worker() {
 func (mt *Maintainer) CatchUp(epoch uint64) (uint64, error) {
 	mt.mu.Lock()
 	defer mt.mu.Unlock()
-	for mt.epoch < epoch && !mt.stopped {
+	for mt.snap.Epoch() < epoch && !mt.stopped {
 		mt.applied.Wait()
 	}
-	return mt.epoch, mt.workerErr
+	return mt.snap.Epoch(), mt.workerErr
 }
 
 // Epoch returns the last applied batch epoch.
 func (mt *Maintainer) Epoch() uint64 {
 	mt.mu.Lock()
 	defer mt.mu.Unlock()
-	return mt.epoch
+	return mt.snap.Epoch()
 }
 
 // Counts returns a copy of a registered query's maintained per-node
@@ -206,22 +235,22 @@ func (mt *Maintainer) Epoch() uint64 {
 func (mt *Maintainer) Counts(name string) ([]int64, uint64, error) {
 	mt.mu.Lock()
 	defer mt.mu.Unlock()
-	inc, ok := mt.queries[name]
+	q, ok := mt.queries[name]
 	if !ok {
 		return nil, 0, fmt.Errorf("census: no maintained query %q", name)
 	}
-	return append([]int64(nil), inc.Counts()...), mt.epoch, nil
+	return slices.Clone(q.counts), mt.snap.Epoch(), nil
 }
 
 // NumMatches returns the live match count of a registered query.
 func (mt *Maintainer) NumMatches(name string) (int, error) {
 	mt.mu.Lock()
 	defer mt.mu.Unlock()
-	inc, ok := mt.queries[name]
+	q, ok := mt.queries[name]
 	if !ok {
 		return 0, fmt.Errorf("census: no maintained query %q", name)
 	}
-	return inc.NumMatches(), nil
+	return q.numAlive, nil
 }
 
 // Queries returns the registered query names.
@@ -233,4 +262,212 @@ func (mt *Maintainer) Queries() []string {
 		names = append(names, name)
 	}
 	return names
+}
+
+// maintained is one registered query's state: every match found so far
+// (dead ones stay, flagged, so their keys keep deduplicating), an index
+// from graph node to the matches containing it, and the per-node counts.
+type maintained struct {
+	spec Spec
+	opt  Options
+
+	counts    []int64
+	matches   []pattern.Match
+	alive     []bool
+	keys      map[string]int // canonical binary match key -> index
+	byNode    map[graph.NodeID][]int
+	anchorIdx []int
+	subNodes  []int
+	keyBuf    []byte
+	numAlive  int
+}
+
+// rebuild recomputes the query's state from scratch on g: the global
+// match set, then the counts.
+func (q *maintained) rebuild(g *graph.Graph) {
+	q.counts = make([]int64, g.NumNodes())
+	q.matches, q.alive = q.matches[:0], q.alive[:0]
+	q.keys = map[string]int{}
+	q.byNode = map[graph.NodeID][]int{}
+	q.numAlive = 0
+	matches, _, _ := globalMatchesGuarded(g, q.spec, q.opt, nil) // a nil guard never fails
+	for _, m := range matches {
+		q.insert(m)
+	}
+	q.recount(g)
+}
+
+// recount recomputes the counts on g from the live matches with
+// ND-PVOT's counting phase: a pivot index over them and one k-hop BFS per
+// node.
+func (q *maintained) recount(g *graph.Graph) {
+	live := make([]pattern.Match, 0, q.numAlive)
+	for i, m := range q.matches {
+		if q.alive[i] {
+			live = append(live, m)
+		}
+	}
+	clear(q.counts)
+	if len(live) > 0 {
+		ix := newPivotIndex(g.NumNodes(), q.spec, live)
+		countPivots(g, q.spec.K, q.spec.focalList(g), []*pivotIndex{ix}, [][]int64{q.counts}, q.opt, nil)
+	}
+}
+
+// apply folds one batch into the query: prev and cur are the graphs of
+// S(e-1) and S(e), edges the batch's new non-loop edges, and rebuild set
+// when the batch falls outside the incremental rules. The match set
+// always follows the rules (births and deaths). The counts follow them
+// too unless the affected work is priced above a recount, in units of
+// one containment set: the rules compute two per affected match (before
+// and after) and about one per new edge (its births), a recount about
+// one per live match. Above that price the counts are recounted on S(e)
+// from the live matches instead.
+func (q *maintained) apply(prev, cur *graph.Graph, edges [][2]graph.NodeID, rebuild bool) {
+	q.counts = append(q.counts, make([]int64, cur.NumNodes()-len(q.counts))...)
+	if rebuild {
+		q.rebuild(cur)
+		return
+	}
+	var dying, affected []int
+	for _, e := range edges {
+		for _, mi := range q.byNode[e[0]] {
+			if q.alive[mi] && slices.Contains(q.matches[mi], e[1]) {
+				dying = append(dying, mi)
+			}
+		}
+	}
+	if k := q.spec.K; k >= 1 {
+		var ends []graph.NodeID
+		for _, e := range edges {
+			for _, n := range e {
+				if int(n) < prev.NumNodes() {
+					ends = append(ends, n)
+				}
+			}
+		}
+		s := graph.AcquireScratch(prev.NumNodes())
+		for _, n := range prev.KHopFrom(ends, k-1, s).Nodes {
+			for _, mi := range q.byNode[n] {
+				if q.alive[mi] && q.isAnchorImage(mi, n) {
+					affected = append(affected, mi)
+				}
+			}
+		}
+		s.Release()
+	}
+	slices.Sort(affected)
+	affected = slices.Compact(affected)
+	recount := 2*len(affected)+len(edges) > q.numAlive
+
+	for _, mi := range dying {
+		if m := q.matches[mi]; q.alive[mi] && !q.spec.Pattern.EvalAll(cur, m) {
+			q.alive[mi] = false
+			q.numAlive--
+			if !recount {
+				q.credit(prev, m, -1)
+			}
+		}
+	}
+	if !recount {
+		// N_{S(e-1)}[M] ⊆ N_{S(e)}[M], so crediting the one and debiting
+		// the other credits exactly the difference.
+		for _, mi := range affected {
+			if m := q.matches[mi]; q.alive[mi] {
+				q.credit(cur, m, 1)
+				q.credit(prev, m, -1)
+			}
+		}
+	}
+
+	r := 0
+	for _, row := range q.spec.Pattern.Distances() {
+		r = max(r, slices.Max(row))
+	}
+	s, t := graph.AcquireScratch(cur.NumNodes()), graph.AcquireScratch(cur.NumNodes())
+	defer s.Release()
+	defer t.Release()
+	var region edgeRegion
+	for _, e := range edges {
+		region.u, region.v = cur.KHop(e[0], r, s), cur.KHop(e[1], r, t)
+		region.members = region.members[:0]
+		for _, n := range region.u.Nodes {
+			if region.v.Contains(n) {
+				region.members = append(region.members, n)
+			}
+		}
+		match.CN{}.EachWithin(cur, q.spec.Pattern, &region, q.subNodes, func(m pattern.Match) {
+			if m, born := q.insert(m); born && !recount {
+				q.credit(cur, m, 1)
+			}
+		})
+	}
+	if recount {
+		q.recount(cur)
+	}
+}
+
+// edgeRegion is N_r(u) ∩ N_r(v), where every match using the edge (u, v)
+// lies; it is the births' CN mask.
+type edgeRegion struct {
+	u, v    graph.Reach
+	members []graph.NodeID
+}
+
+func (m *edgeRegion) Contains(n graph.NodeID) bool { return m.u.Contains(n) && m.v.Contains(n) }
+func (m *edgeRegion) Members() []graph.NodeID      { return m.members }
+
+// insert registers a copy of m, live, unless its canonical key (the
+// binary Pattern.AppendKey the batch drivers dedup with) is already
+// known. It returns the registered copy and whether m was new.
+func (q *maintained) insert(m pattern.Match) (pattern.Match, bool) {
+	q.keyBuf = q.spec.Pattern.AppendKey(q.keyBuf[:0], m, q.subNodes)
+	if _, dup := q.keys[string(q.keyBuf)]; dup {
+		return nil, false
+	}
+	m = slices.Clone(m)
+	idx := len(q.matches)
+	q.matches = append(q.matches, m)
+	q.alive = append(q.alive, true)
+	q.keys[string(q.keyBuf)] = idx
+	q.numAlive++
+	for i, n := range m {
+		if !slices.Contains(m[:i], n) {
+			q.byNode[n] = append(q.byNode[n], idx)
+		}
+	}
+	return m, true
+}
+
+// credit adds d to the count of every node in N_g[M]: the nodes whose
+// k-hop neighborhood on g contains every anchor image of m (per-anchor
+// BFS intersection, as in PT-BAS).
+func (q *maintained) credit(g *graph.Graph, m pattern.Match, d int64) {
+	anchors := matchAnchors(q.spec, q.anchorIdx, m)
+	s := graph.AcquireScratch(g.NumNodes())
+	defer s.Release()
+	// The intersection filters the first reach's node list in place; the
+	// list belongs to s, which nothing else reads before it is released.
+	in := g.KHop(anchors[0], q.spec.K, s).Nodes
+	if len(anchors) > 1 {
+		t := graph.AcquireScratch(g.NumNodes())
+		for _, a := range anchors[1:] {
+			r := g.KHop(a, q.spec.K, t)
+			in = slices.DeleteFunc(in, func(n graph.NodeID) bool { return !r.Contains(n) })
+		}
+		t.Release()
+	}
+	for _, n := range in {
+		q.counts[n] += d
+	}
+}
+
+func (q *maintained) isAnchorImage(mi int, n graph.NodeID) bool {
+	m := q.matches[mi]
+	for _, idx := range q.anchorIdx {
+		if m[idx] == n {
+			return true
+		}
+	}
+	return false
 }

@@ -114,10 +114,23 @@ func countNDPvot(g *graph.Graph, specs []Spec, opt Options, gd *guard) ([]*Resul
 	if !indexed {
 		return results, nil
 	}
+	counts := make([][]int64, len(results))
+	for i, r := range results {
+		counts[i] = r.Counts
+	}
+	countPivots(g, specs[0].K, specs[0].focalList(g), indexes, counts, opt, gd)
+	return results, gd.failure(results[0], nil)
+}
 
+// countPivots counts every pivot index (nil ones are skipped) against
+// each focal node's k-hop neighborhood, one shared BFS per node, into the
+// index's count vector. Focal nodes are processed in parallel across
+// opt.Workers; each owns a disjoint slot, and one stopped by the guard
+// keeps 0.
+//
+//egolint:deterministic census drivers must be bit-identical across runs, algorithms, and worker counts
+func countPivots(g *graph.Graph, k int, focal []graph.NodeID, indexes []*pivotIndex, counts [][]int64, opt Options, gd *guard) {
 	prepare(g)
-	k := specs[0].K
-	focal := specs[0].focalList(g)
 	gd.setFocalTotal(len(focal))
 	focalCost := func(i int) int64 { return 1 + int64(g.Degree(focal[i])) }
 	parallelFor(gd, opt.workers(), len(focal), focalCost, func(_, fi int) {
@@ -134,8 +147,7 @@ func countNDPvot(g *graph.Graph, specs []Spec, opt Options, gd *guard) ([]*Resul
 			if err != nil {
 				return
 			}
-			results[i].Counts[n] = count
+			counts[i][n] = count
 		}
 	})
-	return results, gd.failure(results[0], nil)
 }

@@ -83,27 +83,39 @@ func FigExt(cfg Config, progress io.Writer) ([]Measurement, error) {
 	add(Measurement{Seconds: secs}, "count-many", "separate")
 
 	// Incremental maintenance vs recomputation (k=1; see DESIGN.md for the
-	// k>=2 caveat).
+	// k>=2 caveat): a writer publishes random edges in batches of 1, 16
+	// and 256 and a Maintainer follows the published snapshots; each batch
+	// row is the cost of one publish, maintenance included, comparable
+	// with the one recompute row.
 	incSpec := core.Spec{Pattern: clq3Unlb(), K: 1}
-	gInc := gen.PreferentialAttachment(n, edgeFactor, cfg.Seed+7)
-	inc, err := core.NewIncremental(gInc, incSpec, core.Options{Seed: cfg.Seed})
-	if err != nil {
+	w := graph.NewShardedWriter(gen.PreferentialAttachment(n, edgeFactor, cfg.Seed+7), 1)
+	mt := core.NewMaintainer(w.Snapshot())
+	if err := mt.Register("inc", incSpec, core.Options{Seed: cfg.Seed}); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed + 11))
-	const edges = 50
-	secs = timeIt(func() {
-		for i := 0; i < edges; i++ {
-			a := graph.NodeID(rng.Intn(gInc.NumNodes()))
-			b := graph.NodeID(rng.Intn(gInc.NumNodes()))
-			if a != b {
-				inc.AddEdge(a, b)
-			}
+	w.Subscribe(func(s *graph.Snapshot, d graph.Delta) {
+		if e := mt.Apply(s, d); e != nil && err == nil {
+			err = e
 		}
 	})
-	add(Measurement{Seconds: secs / edges}, "incremental", "per-edge")
+	rng := rand.New(rand.NewSource(cfg.Seed + 11))
+	for _, batch := range []int{1, 16, 256} {
+		edges := max(batch, 64)
+		secs = timeIt(func() {
+			for i := 1; i <= edges; i++ {
+				w.AddEdge(graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)))
+				if i%batch == 0 {
+					w.Publish()
+				}
+			}
+		})
+		if err != nil {
+			return nil, err
+		}
+		add(Measurement{Seconds: secs / float64(edges/batch)}, "incremental", fmt.Sprintf("batch-%d", batch))
+	}
 	secs = timeIt(func() {
-		_, err = core.Count(gInc, incSpec, core.NDPvot, core.Options{Seed: cfg.Seed})
+		_, err = core.CountSnapshot(w.Snapshot(), incSpec, core.NDPvot, core.Options{Seed: cfg.Seed})
 	})
 	if err != nil {
 		return nil, err

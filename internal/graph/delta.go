@@ -45,9 +45,9 @@ type Delta struct {
 	Ops []Op
 }
 
-// ApplyOp applies one op to a mutable graph (mutation-log replay and
-// maintenance replicas). The op must be well formed for the graph's
-// current shape; a malformed op returns an error without partial effects.
+// ApplyOp applies one op to a mutable graph (mutation-log replay). The op
+// must be well formed for the graph's current shape; a malformed op
+// returns an error without partial effects.
 func ApplyOp(g *Graph, op Op) error {
 	switch op.Kind {
 	case OpAddNode:

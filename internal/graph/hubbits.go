@@ -39,59 +39,48 @@ func HubDegreeThreshold(n int) int {
 	return 32
 }
 
-// buildHubCache scans the CSR view once and materializes bitmaps for
-// nodes past the threshold. Parallel edges collapse into one bit.
-func buildHubCache(c *csr, numNodes int) *hubCache {
-	words := bitset.Words(numNodes)
-	hc := &hubCache{rows: make([][]uint64, numNodes), words: words}
-	thresh := HubDegreeThreshold(numNodes)
-	for n := 0; n < numNodes; n++ {
-		nbrs := c.out(NodeID(n))
-		if len(nbrs) < thresh {
-			continue
-		}
-		row := make([]uint64, words)
-		for _, m := range nbrs {
-			bitset.SetBit(row, int(m))
-		}
-		hc.rows[n] = row
-	}
-	return hc
+// buildHubCache materializes bitmaps from g's CSR view c for nodes past
+// the threshold. Degrees come from g's adjacency headers, which on an
+// undirected graph (the only kind cached) hold exactly the CSR row
+// lengths, so the scan reads an overlay row only for a hub. Parallel
+// edges collapse into one bit.
+func buildHubCache(g *Graph, c *csr) *hubCache {
+	return buildHubCacheParallel(g, c, 1)
 }
 
 // buildHubCacheParallel is buildHubCache with the row construction split
 // across `workers` goroutines on node stripes. Rows are independent and
 // the stripe split changes only which goroutine builds a row, so the
 // cache is identical to the sequential build.
-func buildHubCacheParallel(c *csr, numNodes, workers int) *hubCache {
-	if workers <= 1 || numNodes < 1024 {
-		return buildHubCache(c, numNodes)
-	}
+func buildHubCacheParallel(g *Graph, c *csr, workers int) *hubCache {
+	numNodes := len(g.out)
 	words := bitset.Words(numNodes)
 	hc := &hubCache{rows: make([][]uint64, numNodes), words: words}
 	thresh := HubDegreeThreshold(numNodes)
+	build := func(lo, hi int) {
+		for n := lo; n < hi; n++ {
+			if len(g.out[n]) < thresh {
+				continue
+			}
+			row := make([]uint64, words)
+			for _, m := range c.out(NodeID(n)) {
+				bitset.SetBit(row, int(m))
+			}
+			hc.rows[n] = row
+		}
+	}
+	if workers <= 1 || numNodes < 1024 {
+		build(0, numNodes)
+		return hc
+	}
 	var wg sync.WaitGroup
-	wg.Add(workers)
 	stripe := (numNodes + workers - 1) / workers
-	for w := 0; w < workers; w++ {
+	for lo := 0; lo < numNodes; lo += stripe {
+		wg.Add(1)
 		go func(lo int) {
 			defer wg.Done()
-			hi := lo + stripe
-			if hi > numNodes {
-				hi = numNodes
-			}
-			for n := lo; n < hi; n++ {
-				nbrs := c.out(NodeID(n))
-				if len(nbrs) < thresh {
-					continue
-				}
-				row := make([]uint64, words)
-				for _, m := range nbrs {
-					bitset.SetBit(row, int(m))
-				}
-				hc.rows[n] = row
-			}
-		}(w * stripe)
+			build(lo, min(lo+stripe, numNodes))
+		}(lo)
 	}
 	wg.Wait()
 	return hc
@@ -110,7 +99,7 @@ func (g *Graph) BuildHubBitmapsParallel(workers int) {
 	if c.hubs.Load() != nil {
 		return
 	}
-	hc := buildHubCacheParallel(c, g.NumNodes(), workers)
+	hc := buildHubCacheParallel(g, c, workers)
 	c.hubs.CompareAndSwap(nil, hc)
 }
 
@@ -121,7 +110,7 @@ func (g *Graph) ensureHubs(c *csr) *hubCache {
 	if hc := c.hubs.Load(); hc != nil {
 		return hc
 	}
-	hc := buildHubCache(c, g.NumNodes())
+	hc := buildHubCache(g, c)
 	if !c.hubs.CompareAndSwap(nil, hc) {
 		if cur := c.hubs.Load(); cur != nil {
 			return cur

@@ -8,8 +8,7 @@ package graph
 // never change for an existing shard count.
 //
 // The zero value is a valid single-shard partitioner: every node maps to
-// shard 0 and Enabled reports false, so unsharded code paths pay one
-// predictable branch and nothing else.
+// shard 0.
 type Partitioner struct {
 	shards int
 }
@@ -30,10 +29,6 @@ func (p Partitioner) Shards() int {
 	}
 	return p.shards
 }
-
-// Enabled reports whether the partitioner actually splits the graph
-// (more than one shard).
-func (p Partitioner) Enabled() bool { return p.shards > 1 }
 
 // Shard maps a node to its owning shard. Deterministic: a splitmix64
 // finalizer over the ID, reduced modulo the shard count. The finalizer

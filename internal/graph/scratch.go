@@ -99,12 +99,23 @@ func (r Reach) Members() []NodeID { return r.Nodes }
 // returned Reach borrows s's arrays and is valid until the next traversal
 // on s.
 func (g *Graph) KHop(src NodeID, maxDepth int, s *Scratch) Reach {
-	g.mustNode(src)
+	return g.KHopFrom([]NodeID{src}, maxDepth, s)
+}
+
+// KHopFrom is KHop from several sources at once: one breadth-first
+// traversal reaching every node within maxDepth hops of any source, with
+// Dist the distance to the nearest one.
+func (g *Graph) KHopFrom(srcs []NodeID, maxDepth int, s *Scratch) Reach {
 	c := g.ensureCSR()
 	s.begin(len(g.out))
-	s.mark[src] = s.epoch
-	s.dist[src] = 0
-	s.nodes = append(s.nodes, src)
+	for _, src := range srcs {
+		g.mustNode(src)
+		if s.mark[src] != s.epoch {
+			s.mark[src] = s.epoch
+			s.dist[src] = 0
+			s.nodes = append(s.nodes, src)
+		}
+	}
 	for head := 0; head < len(s.nodes); head++ {
 		n := s.nodes[head]
 		d := s.dist[n]

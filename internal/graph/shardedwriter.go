@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -59,12 +58,11 @@ type swLane struct {
 // Publish installs the next epoch with a two-phase publish: phase one
 // freezes every lane's tail into one sequence-ordered batch and makes it
 // durable through the WAL (per-shard segment records in parallel for
-// P > 1); phase two applies the batch copy-on-write — shard-parallel for
-// P > 1 — and installs the composed snapshot with one atomic pointer
-// store. Readers acquire versions with Snapshot(), an atomic pointer load,
-// and are never blocked by the writer, nor the writer by readers; they
-// can never observe mixed epochs, since there is only one published
-// pointer.
+// P > 1); phase two applies the batch copy-on-write in publish order
+// and installs the composed snapshot with one atomic pointer store.
+// Readers acquire versions with Snapshot(), an atomic pointer load, and
+// are never blocked by the writer, nor the writer by readers; they can
+// never observe mixed epochs, since there is only one published pointer.
 //
 // Copy-on-write granularity is the dirty tail: a publish copies the
 // per-node slice headers (O(nodes) memcpy) plus only the adjacency rows,
@@ -83,8 +81,8 @@ type swLane struct {
 // degrades.
 //
 // With P = 1 the WAL gets one part holding the whole batch in publish
-// order, which storage.Log writes in the v1 one-segment format, and the
-// batch applies sequentially.
+// order, which storage.Log writes in the v1 one-segment format. At any P
+// the batch applies sequentially (applyBatch).
 //
 // All methods are safe for concurrent use. Staging and publish take
 // different locks, so ingest goroutines keep staging while a publish is
@@ -100,11 +98,6 @@ type ShardedWriter struct {
 	// (degraded.go). Set before sharing the writer; the zero value picks
 	// the defaults (4 attempts, 2ms..50ms exponential backoff + jitter).
 	WALRetry RetryPolicy
-
-	// ApplyWorkers bounds the parallelism of phase-two batch application;
-	// 0 picks min(shards, GOMAXPROCS). 1 forces the sequential apply (the
-	// P=1 compatibility path uses it implicitly).
-	ApplyWorkers int
 
 	part Partitioner
 
@@ -408,7 +401,7 @@ func firstDegraded(degraded []*DegradedError) *DegradedError {
 }
 
 // Publish makes the frozen batch durable across the shard segments,
-// applies it (shard-parallel for P > 1), and atomically installs the next
+// applies it in publish order, and atomically installs the next
 // composed snapshot. With nothing pending it returns the current snapshot
 // unchanged.
 //
@@ -447,7 +440,7 @@ func (w *ShardedWriter) Publish() (*Snapshot, error) {
 	for i, po := range pub {
 		ops[i] = po.op
 	}
-	next := w.applyPublished(base.g, ops, base.epoch+1)
+	next := applyBatch(base.g, ops, base.epoch+1)
 	snap := &Snapshot{epoch: base.epoch + 1, g: next}
 	delta := Delta{Epoch: snap.epoch, Ops: ops}
 	w.cur.Store(snap)
@@ -461,28 +454,6 @@ func (w *ShardedWriter) Publish() (*Snapshot, error) {
 	w.maybeCompact(next)
 	w.requeue(held)
 	return snap, nil
-}
-
-// applyPublished applies one publish-ordered batch: sequentially with
-// applyBatch for one shard or one apply worker, with the shard-parallel
-// variant otherwise.
-func (w *ShardedWriter) applyPublished(base *Graph, ops []Op, epoch uint64) *Graph {
-	workers := w.applyWorkers()
-	if !w.part.Enabled() || workers <= 1 {
-		return applyBatch(base, ops, epoch)
-	}
-	return applyBatchSharded(base, ops, epoch, w.part, workers)
-}
-
-func (w *ShardedWriter) applyWorkers() int {
-	if w.ApplyWorkers > 0 {
-		return w.ApplyWorkers
-	}
-	n := runtime.GOMAXPROCS(0)
-	if s := w.part.Shards(); n > s {
-		n = s
-	}
-	return n
 }
 
 // appendWAL drives one batch through the WAL under the retry policy.

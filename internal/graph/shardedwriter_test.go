@@ -130,7 +130,7 @@ func batchOps(deltas []Delta) [][]Op {
 // TestShardedWriterParity holds ShardedWriter to the script's reference
 // behavior — same assigned IDs, same epochs, same per-epoch fingerprints
 // as a replay of the script's own op sequence — for the single-shard path
-// and for P=4 with parallel application.
+// and for P=4.
 func TestShardedWriterParity(t *testing.T) {
 	for _, directed := range []bool{false, true} {
 		for _, shards := range []int{1, 4} {
@@ -139,7 +139,6 @@ func TestShardedWriterParity(t *testing.T) {
 				script := randomScript(rng, 400)
 				wn, we, _, weps := scriptReference(t, directed, script)
 				sw := NewShardedWriter(New(directed), shards)
-				sw.ApplyWorkers = 4
 				sn, se, seps := runScript(t, sw, script)
 				if !reflect.DeepEqual(wn, sn) || !reflect.DeepEqual(we, se) {
 					t.Fatalf("assigned IDs diverge")

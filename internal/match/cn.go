@@ -262,6 +262,27 @@ func (cr *CountRun) CountWithin(g *graph.Graph, p *pattern.Pattern, within NodeS
 	return distinct, x.emitted * brk.group
 }
 
+// EachWithin calls fn with every embedding CN emits inside within (nil
+// means the whole graph): one per orbit of the symmetry-breaking group
+// for subNodes, so a match is reported once when that group is
+// Distinct, and once per orbit of its key class otherwise — fn
+// deduplicates by key if it must. m is the run's assignment buffer,
+// overwritten after fn returns; fn copies what it keeps. The run borrows
+// a pooled runner, so a caller that lives across graph versions pins
+// none of them.
+func (c CN) EachWithin(g *graph.Graph, p *pattern.Pattern, within NodeSet, subNodes []int, fn func(m pattern.Match)) {
+	r := getRunner(c.Stop)
+	defer putRunner(r)
+	if !r.build(g, p, within) {
+		return
+	}
+	x := &r.x
+	x.reset(&r.cnSpace, r.pc.breakFor(subNodes))
+	x.emit = fn
+	x.extractAll()
+	x.emit = nil
+}
+
 var (
 	runnerPool    = sync.Pool{New: func() any { return new(cnRunner) }}
 	extractorPool = sync.Pool{New: func() any { return new(cnExtractor) }}
@@ -340,6 +361,11 @@ type compiledProfile struct {
 func (cp *compiledProfile) matches(g *graph.Graph, n graph.NodeID) bool {
 	if g.Degree(n) < cp.degree {
 		return false
+	}
+	if len(cp.perLabel) == 0 {
+		// No label requirement: skip the profile table, which a fresh
+		// snapshot would otherwise build whole for this one probe.
+		return true
 	}
 	np := g.NodeProfile(n)
 	for _, lr := range cp.perLabel {

@@ -44,9 +44,10 @@ func patchCRC(data []byte) []byte {
 
 // FuzzOpenStore feeds mutated .egoc bytes to Open: a corrupt file must be
 // rejected with an error — never a panic — and a file that opens must be
-// fully servable (materialization, adjacency, attributes) without
-// panicking. Materialize must agree with the per-item reference on every
-// file Open accepts: both fail, or both succeed with equal graphs. Each
+// fully servable (adjacency, edge endpoints, and Materialize, which
+// serves the attributes) without panicking. Materialize must agree with
+// the per-item reference on every file Open accepts: both fail, or both
+// succeed with equal graphs. Each
 // input is tried both raw and with its trailing CRC recomputed, so
 // mutations also explore the structural validation behind the checksum
 // gate.
@@ -77,9 +78,6 @@ func FuzzOpenStore(f *testing.F) {
 				id := graph.NodeID(n)
 				st.Label(id)
 				if _, _, err := st.Adjacency(id); err != nil {
-					break
-				}
-				if _, err := st.NodeAttrs(id); err != nil {
 					break
 				}
 			}
@@ -135,6 +133,48 @@ func TestOpenCorruptTyped(t *testing.T) {
 		}
 		if cfe.Path != path || cfe.Detail == "" {
 			t.Fatalf("%s: incomplete error %+v", name, cfe)
+		}
+	}
+}
+
+// TestOpenRejectsUnorderedAttrEntries crafts images whose node attribute
+// section repeats an object id or lists ids out of order. Write emits
+// strictly ascending ids, so Open must reject both: a repeated entry
+// would otherwise let the later one silently win on hydration.
+func TestOpenRejectsUnorderedAttrEntries(t *testing.T) {
+	g := graph.New(false)
+	g.AddNodes(4)
+	g.SetNodeAttr(1, "a", "x")
+	g.SetNodeAttr(2, "b", "y")
+	img := writeImage(t, g)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "valid.egoc")
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := st.h.NodeAttrOff
+	st.Close()
+	// Entry layout: u32 id, u16 pair count, str16 key, str16 value; each
+	// entry here is 4+2+3+3 bytes.
+	first, second := off+4, off+4+12
+	if binary.LittleEndian.Uint32(img[first:]) != 1 || binary.LittleEndian.Uint32(img[second:]) != 2 {
+		t.Fatalf("unexpected attribute section layout at %d", off)
+	}
+	for name, id := range map[string]uint32{"duplicate": 1, "descending": 0} {
+		bad := append([]byte(nil), img...)
+		binary.LittleEndian.PutUint32(bad[second:], id)
+		path := filepath.Join(dir, name+".egoc")
+		if err := os.WriteFile(path, patchCRC(bad), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Open(path, 0)
+		var cfe *CorruptFileError
+		if !errors.As(err, &cfe) {
+			t.Fatalf("%s: Open err = %v, want *CorruptFileError", name, err)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,9 +14,17 @@ import (
 
 // materializeReference is the per-item hydration Materialize replaced:
 // labels interned by name in node order, one cached read per attribute
-// entry and per edge, and one AddEdge per edge. The fuzz oracle holds
+// field and per edge, and one AddEdge per edge. The fuzz oracle holds
 // Materialize to it.
 func materializeReference(st *Store) (*graph.Graph, error) {
+	nodeAttrs, err := referenceAttrs(st, st.h.NodeAttrOff)
+	if err != nil {
+		return nil, err
+	}
+	edgeAttrs, err := referenceAttrs(st, st.h.EdgeAttrOff)
+	if err != nil {
+		return nil, err
+	}
 	g := graph.New(st.Directed())
 	g.AddNodes(st.NumNodes())
 	for n := 0; n < st.NumNodes(); n++ {
@@ -23,11 +32,7 @@ func materializeReference(st *Store) (*graph.Graph, error) {
 		if l := st.Label(id); l != graph.NoLabel {
 			g.SetLabel(id, st.labels.Name(l))
 		}
-		attrs, err := st.NodeAttrs(id)
-		if err != nil {
-			return nil, err
-		}
-		for k, v := range attrs {
+		for k, v := range nodeAttrs[uint32(n)] {
 			g.SetNodeAttr(id, k, v)
 		}
 	}
@@ -37,15 +42,51 @@ func materializeReference(st *Store) (*graph.Graph, error) {
 			return nil, err
 		}
 		eid := g.AddEdge(from, to)
-		attrs, err := st.EdgeAttrs(eid)
-		if err != nil {
-			return nil, err
-		}
-		for k, v := range attrs {
+		for k, v := range edgeAttrs[uint32(eid)] {
 			g.SetEdgeAttr(eid, k, v)
 		}
 	}
 	return g, nil
+}
+
+// referenceAttrs decodes the attribute section at off field by field
+// through the block cache: a u32 entry count, then per entry a u32 id, a
+// u16 pair count and that many str16 key/value pairs. Open has validated
+// the section's structure.
+func referenceAttrs(st *Store, off uint64) (map[uint32]map[string]string, error) {
+	pos := int64(off)
+	read := func(n int) ([]byte, error) {
+		b, err := st.readRange(pos, n)
+		pos += int64(n)
+		return b, err
+	}
+	b, err := read(4)
+	if err != nil {
+		return nil, err
+	}
+	out := map[uint32]map[string]string{}
+	for i := binary.LittleEndian.Uint32(b); i > 0; i-- {
+		if b, err = read(6); err != nil {
+			return nil, err
+		}
+		id, pairs := binary.LittleEndian.Uint32(b), binary.LittleEndian.Uint16(b[4:])
+		m := map[string]string{}
+		for ; pairs > 0; pairs-- {
+			var kv [2]string
+			for j := range kv {
+				if b, err = read(2); err != nil {
+					return nil, err
+				}
+				if b, err = read(int(binary.LittleEndian.Uint16(b))); err != nil {
+					return nil, err
+				}
+				kv[j] = string(b)
+			}
+			m[kv[0]] = kv[1]
+		}
+		out[id] = m
+	}
+	return out, nil
 }
 
 // writeImage encodes g in the binary format.

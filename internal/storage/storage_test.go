@@ -164,21 +164,25 @@ func TestStoreOnDemandAccess(t *testing.T) {
 			t.Fatal("undirected store should have nil in-lists")
 		}
 	}
-	attrs, err := st.NodeAttrs(0)
-	if err != nil || attrs["name"] != "hub" {
-		t.Fatalf("node attrs via store: %v %v", attrs, err)
-	}
-	attrs, err = st.NodeAttrs(1)
-	if err != nil || len(attrs) != 0 {
-		t.Fatalf("empty node attrs via store: %v %v", attrs, err)
-	}
 	from, to, err := st.EdgeEndpoints(0)
 	if err != nil || (graph.Edge{From: from, To: to}) != g.Edge(0) {
 		t.Fatalf("edge endpoints via store: %d %d %v", from, to, err)
 	}
-	eattrs, err := st.EdgeAttrs(0)
-	if err != nil || (eattrs["sign"] != "+" && eattrs["sign"] != "-") {
-		t.Fatalf("edge attrs via store: %v %v", eattrs, err)
+	// Attributes are served by Materialize.
+	mg, err := st.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := mg.NodeAttr(0, "name"); v != "hub" {
+		t.Fatalf("node attrs via store: %v", mg.NodeAttrs(0))
+	}
+	attrs := mg.NodeAttrs(1)
+	delete(attrs, graph.LabelAttr)
+	if len(attrs) != 0 {
+		t.Fatalf("empty node attrs via store: %v", attrs)
+	}
+	if v, _ := mg.EdgeAttr(0, "sign"); v != "+" && v != "-" {
+		t.Fatalf("edge attrs via store: %v", mg.EdgeAttrs(0))
 	}
 }
 

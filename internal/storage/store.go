@@ -18,14 +18,14 @@ const BlockSize = 8192
 const DefaultCacheBlocks = 1024
 
 // Store serves a graph file without materializing it: the header, label
-// dictionary, per-node labels, adjacency index and attribute indexes are
-// resident. Open reads each section it indexes with one ReadAt.
+// dictionary, per-node labels and adjacency index are resident. Open
+// reads each section it validates with one ReadAt.
 //
 // Materialize (and Graph, which memoizes it) hydrates the whole graph
 // with one sequential read per section it needs. The on-demand readers
-// (Adjacency, EdgeEndpoints, NodeAttrs, EdgeAttrs) instead read single
-// items through a fixed-capacity block cache; they share it and are not
-// safe for concurrent use. GraphStats and Graph — the plan.Source methods
+// (Adjacency, EdgeEndpoints) instead read single items through a
+// fixed-capacity block cache; they share it and are not safe for
+// concurrent use. GraphStats and Graph — the plan.Source methods
 // a shared query engine calls — are: each computes once, single-flight,
 // however many first queries race for it.
 type Store struct {
@@ -37,9 +37,6 @@ type Store struct {
 	labels    *graph.LabelDict
 	nodeLabel []graph.LabelID
 	adjIndex  []uint64 // NumNodes+1 offsets into the adjacency data
-
-	nodeAttrAt map[uint32]int64 // node -> file offset of its attr entry
-	edgeAttrAt map[uint32]int64
 
 	cache *blockCache
 
@@ -107,13 +104,10 @@ func (st *Store) init(cacheBlocks int) error {
 	if err := st.readAdjIndex(); err != nil {
 		return err
 	}
-	var err2 error
-	st.nodeAttrAt, err2 = st.indexAttrSection(st.h.NodeAttrOff, st.h.EdgeAttrOff, st.h.NumNodes)
-	if err2 != nil {
-		return err2
+	if err := st.checkAttrSection(st.h.NodeAttrOff, st.h.EdgeAttrOff, st.h.NumNodes); err != nil {
+		return err
 	}
-	st.edgeAttrAt, err2 = st.indexAttrSection(st.h.EdgeAttrOff, st.h.CRCOff, st.h.NumEdges)
-	return err2
+	return st.checkAttrSection(st.h.EdgeAttrOff, st.h.CRCOff, st.h.NumEdges)
 }
 
 func (st *Store) verifyCRC() error {
@@ -291,25 +285,14 @@ func (st *Store) readAdjIndex() error {
 	return nil
 }
 
-// indexAttrSection indexes an attribute section, recording the file
-// offset of each entry for the on-demand readers.
-func (st *Store) indexAttrSection(sectionOff, end, maxID uint64) (map[uint32]int64, error) {
-	sec, err := st.readAttrSection(sectionOff, end, maxID)
+// checkAttrSection reads an attribute section and walks it with every
+// structural check Materialize relies on.
+func (st *Store) checkAttrSection(off, end, maxID uint64) error {
+	sec, err := st.readAttrSection(off, end, maxID)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	idx := make(map[uint32]int64, sec.count)
-	err = sec.walk(func(id uint32, off int64) error {
-		if _, dup := idx[id]; dup {
-			return st.corrupt("duplicate attribute entry for object %d", id)
-		}
-		idx[id] = off
-		return nil
-	}, nil)
-	if err != nil {
-		return nil, err
-	}
-	return idx, nil
+	return sec.walk(nil)
 }
 
 // attrSection is one attribute section read whole: a u32 entry count,
@@ -343,14 +326,16 @@ func (st *Store) readAttrSection(off, end, maxID uint64) (*attrSection, error) {
 	return &attrSection{st: st, off: off, maxID: maxID, buf: buf, count: count}, nil
 }
 
-// walk decodes the section in memory, calling entry (if non-nil) with
-// each entry's object id and file offset, and pair (if non-nil) with each
-// of its key/value pairs. The slices pair receives alias the section
-// buffer. A length that runs past the section end, an id outside maxID,
-// or bytes left after the last entry yield a *CorruptFileError.
-func (s *attrSection) walk(entry func(id uint32, off int64) error, pair func(id uint32, k, v []byte)) error {
+// walk decodes the section in memory, calling pair (if non-nil) with
+// each key/value pair of each entry. The slices pair receives alias the
+// section buffer. A length that runs past the section end, an id outside
+// maxID or not above the previous entry's (Write emits strictly
+// ascending ids, so a repeat is a duplicate entry), or bytes left after
+// the last entry yield a *CorruptFileError.
+func (s *attrSection) walk(pair func(id uint32, k, v []byte)) error {
 	buf, size := s.buf, uint64(len(s.buf))
 	p := uint64(4)
+	var prev uint32
 	overrun := func(i uint32) error {
 		return s.st.corrupt("attribute section at %d overruns its end %d at entry %d", s.off, s.off+size, i)
 	}
@@ -362,11 +347,10 @@ func (s *attrSection) walk(entry func(id uint32, off int64) error, pair func(id 
 		if uint64(id) >= s.maxID {
 			return s.st.corrupt("attribute entry for object %d out of range (%d objects)", id, s.maxID)
 		}
-		if entry != nil {
-			if err := entry(id, int64(s.off+p)); err != nil {
-				return err
-			}
+		if i > 0 && id <= prev {
+			return s.st.corrupt("attribute entry for object %d follows object %d (ids must ascend)", id, prev)
 		}
+		prev = id
 		pairs := binary.LittleEndian.Uint16(buf[p+4:])
 		p += 6
 		for j := uint16(0); j < pairs; j++ {
@@ -486,44 +470,6 @@ func (st *Store) edgeAt(buf []byte, e graph.EdgeID) (from, to graph.NodeID, err 
 	return graph.NodeID(f), graph.NodeID(t), nil
 }
 
-// NodeAttrs reads the attributes of node n (excluding the label).
-func (st *Store) NodeAttrs(n graph.NodeID) (map[string]string, error) {
-	return st.readAttrs(st.nodeAttrAt, uint32(n))
-}
-
-// EdgeAttrs reads the attributes of edge e.
-func (st *Store) EdgeAttrs(e graph.EdgeID) (map[string]string, error) {
-	return st.readAttrs(st.edgeAttrAt, uint32(e))
-}
-
-func (st *Store) readAttrs(idx map[uint32]int64, id uint32) (map[string]string, error) {
-	off, ok := idx[id]
-	if !ok {
-		return nil, nil
-	}
-	off += 4 // skip id
-	pairs, err := st.readU16(off)
-	if err != nil {
-		return nil, err
-	}
-	off += 2
-	m := make(map[string]string, pairs)
-	for p := uint16(0); p < pairs; p++ {
-		k, n, err := st.readStr16(off)
-		if err != nil {
-			return nil, err
-		}
-		off += n
-		v, n, err := st.readStr16(off)
-		if err != nil {
-			return nil, err
-		}
-		off += n
-		m[k] = v
-	}
-	return m, nil
-}
-
 // Materialize loads the entire stored graph into memory. It reads the
 // edge table and each attribute section with one ReadAt and decodes them
 // in memory, bypassing the block cache: graph.FromParts builds the
@@ -574,7 +520,7 @@ func (st *Store) hydrateAttrs(off, end, maxID uint64, set func(id uint32, k, v s
 		interned[s] = s
 		return s
 	}
-	return sec.walk(nil, func(id uint32, k, v []byte) { set(id, str(k), str(v)) })
+	return sec.walk(func(id uint32, k, v []byte) { set(id, str(k), str(v)) })
 }
 
 // str16 decodes the length-prefixed string at buf[p:] and returns the
@@ -604,35 +550,12 @@ func (st *Store) readSection(off, end uint64) ([]byte, error) {
 
 // --- low-level cached reads ---
 
-func (st *Store) readU16(off int64) (uint16, error) {
-	b, err := st.readRange(off, 2)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint16(b), nil
-}
-
 func (st *Store) readU32(off int64) (uint32, error) {
 	b, err := st.readRange(off, 4)
 	if err != nil {
 		return 0, err
 	}
 	return binary.LittleEndian.Uint32(b), nil
-}
-
-func (st *Store) readStr16(off int64) (string, int64, error) {
-	l, err := st.readU16(off)
-	if err != nil {
-		return "", 0, err
-	}
-	if l == 0 {
-		return "", 2, nil
-	}
-	b, err := st.readRange(off+2, int(l))
-	if err != nil {
-		return "", 0, err
-	}
-	return string(b), 2 + int64(l), nil
 }
 
 // readRange returns length bytes starting at off, served from the block
