@@ -236,16 +236,10 @@ func CountContext(ctx context.Context, g *graph.Graph, spec Spec, alg Algorithm,
 //egolint:deterministic census drivers must be bit-identical across runs, algorithms, and worker counts
 func countGuarded(g *graph.Graph, spec Spec, alg Algorithm, opt Options, gd *guard) (*Result, error) {
 	switch alg {
-	case NDBas:
-		return countNDBas(g, spec, opt, gd)
+	case NDBas, NDPvot:
+		return countUnits(g, spec, focalUnits(g, spec), alg, opt, gd)
 	case NDDiff:
 		return countNDDiff(g, spec, opt, gd)
-	case NDPvot:
-		res, err := countNDPvot(g, []Spec{spec}, opt, gd)
-		if res == nil {
-			return nil, err
-		}
-		return res[0], err
 	case PTBas:
 		return countPTBas(g, spec, opt, gd)
 	case PTOpt:
@@ -255,6 +249,19 @@ func countGuarded(g *graph.Graph, spec Spec, alg Algorithm, opt Options, gd *gua
 	default:
 		return nil, fmt.Errorf("census: unknown algorithm %q", alg)
 	}
+}
+
+// countUnits runs ND-BAS or ND-PVOT over a unit list, focal nodes or
+// pairs, into one count slot per unit.
+func countUnits(g *graph.Graph, spec Spec, us units, alg Algorithm, opt Options, gd *guard) (*Result, error) {
+	if alg == NDBas {
+		return countNDBas(g, spec, us, opt, gd)
+	}
+	res, err := countNDPvot(g, []Spec{spec}, us, opt, gd)
+	if res == nil {
+		return nil, err
+	}
+	return res[0], err
 }
 
 // globalMatchesGuarded finds the set M of matches of the spec's pattern

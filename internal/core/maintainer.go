@@ -310,7 +310,7 @@ func (q *maintained) recount(g *graph.Graph) {
 	clear(q.counts)
 	if len(live) > 0 {
 		ix := newPivotIndex(g.NumNodes(), q.spec, live)
-		countPivots(g, q.spec.K, q.spec.focalList(g), []*pivotIndex{ix}, [][]int64{q.counts}, q.opt, nil)
+		countPivots(g, focalUnits(g, q.spec), []*pivotIndex{ix}, [][]int64{q.counts}, q.opt, nil)
 	}
 }
 
@@ -387,15 +387,9 @@ func (q *maintained) apply(prev, cur *graph.Graph, edges [][2]graph.NodeID, rebu
 	s, t := graph.AcquireScratch(cur.NumNodes()), graph.AcquireScratch(cur.NumNodes())
 	defer s.Release()
 	defer t.Release()
-	var region edgeRegion
+	var region graph.Reach // N_r(u) ∩ N_r(v): every match using the edge (u, v) lies in it
 	for _, e := range edges {
-		region.u, region.v = cur.KHop(e[0], r, s), cur.KHop(e[1], r, t)
-		region.members = region.members[:0]
-		for _, n := range region.u.Nodes {
-			if region.v.Contains(n) {
-				region.members = append(region.members, n)
-			}
-		}
+		region = cur.KHop(e[0], r, s).Intersect(cur.KHop(e[1], r, t))
 		match.CN{}.EachWithin(cur, q.spec.Pattern, &region, q.subNodes, func(m pattern.Match) {
 			if m, born := q.insert(m); born && !recount {
 				q.credit(cur, m, 1)
@@ -406,16 +400,6 @@ func (q *maintained) apply(prev, cur *graph.Graph, edges [][2]graph.NodeID, rebu
 		q.recount(cur)
 	}
 }
-
-// edgeRegion is N_r(u) ∩ N_r(v), where every match using the edge (u, v)
-// lies; it is the births' CN mask.
-type edgeRegion struct {
-	u, v    graph.Reach
-	members []graph.NodeID
-}
-
-func (m *edgeRegion) Contains(n graph.NodeID) bool { return m.u.Contains(n) && m.v.Contains(n) }
-func (m *edgeRegion) Members() []graph.NodeID      { return m.members }
 
 // insert registers a copy of m, live, unless its canonical key (the
 // binary Pattern.AppendKey the batch drivers dedup with) is already

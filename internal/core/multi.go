@@ -46,7 +46,7 @@ func countManyGuarded(g *graph.Graph, specs []Spec, opt Options, gd *guard) ([]*
 			return nil, fmt.Errorf("census: CountMany requires a uniform focal set")
 		}
 	}
-	results, err := countNDPvot(g, specs, opt, gd)
+	results, err := countNDPvot(g, specs, focalUnits(g, specs[0]), opt, gd)
 	if err != nil {
 		return nil, err
 	}

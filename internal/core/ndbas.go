@@ -6,93 +6,74 @@ import (
 )
 
 // countNDBas is the node-driven baseline (Section IV-A): match the pattern
-// inside S(n, k) for every focal node. It repeats overlapping work across
-// neighborhoods and is computationally infeasible beyond small graphs —
-// the paper reports 218x slower than ND-PVOT at 20K nodes — but it is the
-// semantic reference the other algorithms are validated against.
+// inside every unit's reach — S(n, k) for a focal node, the combined
+// neighborhood for a pair — into the unit's count slot. It repeats
+// overlapping work across neighborhoods and is computationally infeasible
+// beyond small graphs — the paper reports 218x slower than ND-PVOT at 20K
+// nodes — but it is the semantic reference the other algorithms are
+// validated against.
 //
-// The per-node matching is a CN counting run in place on the parent graph
-// restricted to the k-hop reach, so no subgraph is ever extracted. Focal
-// nodes are processed in parallel across Options.Workers — each owns a
-// disjoint result slot, so workers write counts directly.
+// The per-unit matching is a CN counting run in place on the parent graph
+// restricted to the reach, so no subgraph is ever extracted. Units are
+// processed in parallel across Options.Workers — each owns a disjoint
+// count slot, so workers write counts directly.
 //
-// Cancellation is checked before every focal node and, through CN's stop
-// poll, inside each per-node enumeration; on a stop the counts written so
-// far are returned as the partial census.
+// Cancellation is checked before every unit and, through CN's stop poll,
+// inside each per-unit enumeration; on a stop the counts written so far
+// are the partial census.
 //
 // COUNTSP censuses cannot be answered inside the neighborhood (the pattern
 // may extend beyond it while only the subpattern image must lie inside),
 // so for those the baseline degrades to the naive global scheme the paper
 // describes as the starting point of pivot indexing: match globally, then
-// containment-check every match against every focal node.
+// containment-check every match against every unit (countNDBasSubpattern).
 //
 //egolint:deterministic census drivers must be bit-identical across runs, algorithms, and worker counts
-func countNDBas(g *graph.Graph, spec Spec, opt Options, gd *guard) (*Result, error) {
+func countNDBas(g *graph.Graph, spec Spec, us units, opt Options, gd *guard) (*Result, error) {
 	if spec.Subpattern != "" {
-		return countNDBasSubpattern(g, spec, opt, gd)
+		return countNDBasSubpattern(g, spec, us, opt, gd)
 	}
-	res := &Result{Counts: make([]int64, g.NumNodes())}
-	gd.chargeMem(int64(g.NumNodes()) * 8)
+	res := &Result{Counts: make([]int64, us.slots(g))}
+	gd.chargeMem(int64(len(res.Counts)) * 8)
 	cn := match.CN{Stop: gd.stopFunc()}
-	focal := spec.focalList(g)
-	gd.setFocalTotal(len(focal))
 	prepare(g)
-	// Per-focal cost estimate for the work-stealing schedule: the k-hop
-	// BFS and the in-neighborhood matching both scale with the focal's
-	// degree, so hubs sort to the front of the deques.
-	focalCost := func(i int) int64 { return 1 + int64(g.Degree(focal[i])) }
-
 	// Zero-allocation hot path: one reusable counting run per worker;
 	// candidate planes, CN arenas, and the distinct-key set all live in
-	// the run and are reused across focals. The reach mask is also
-	// per-worker — passing the Reach value itself would box it into the
-	// NodeSet interface and put one heap allocation back per focal.
+	// the run and are reused across units. The reach mask is also
+	// per-worker — a pointer to the body's own reach would escape and put
+	// one heap allocation back per unit.
 	workers := opt.workers()
 	runs := make([]*match.CountRun, workers)
-	masks := make([]*reachMask, workers)
-	parallelFor(gd, workers, len(focal), focalCost, func(w, i int) {
+	masks := make([]*graph.Reach, workers)
+	us.each(g, workers, gd, func(w, slot int, reach graph.Reach) {
 		run := runs[w]
 		if run == nil {
 			run = cn.NewCountRun()
 			runs[w] = run
-			masks[w] = new(reachMask)
+			masks[w] = new(graph.Reach)
 		}
-		n := focal[i]
-		s := graph.AcquireScratch(g.NumNodes())
 		mask := masks[w]
-		mask.r = g.KHop(n, spec.K, s)
+		*mask = reach
 		distinct, _ := run.CountWithin(g, spec.Pattern, mask, nil)
-		res.Counts[n] = int64(distinct)
-		s.Release()
+		res.Counts[slot] = int64(distinct)
 	})
 	return res, gd.failure(res, nil)
 }
 
-// reachMask adapts a graph.Reach to match.NodeSet behind a reusable
-// pointer, so the per-focal masked count does not re-box the reach value.
-type reachMask struct{ r graph.Reach }
-
-func (m *reachMask) Contains(n graph.NodeID) bool { return m.r.Contains(n) }
-func (m *reachMask) Members() []graph.NodeID      { return m.r.Nodes }
-
-// countNDBasSubpattern is the naive O(|V_sigma| * |M| * |V_SP|) scheme.
-func countNDBasSubpattern(g *graph.Graph, spec Spec, opt Options, gd *guard) (*Result, error) {
-	res := &Result{Counts: make([]int64, g.NumNodes())}
-	gd.chargeMem(int64(g.NumNodes()) * 8)
+// countNDBasSubpattern is the naive O(|units| * |M| * |V_SP|) scheme: every
+// global match whose anchor images all lie in a unit's reach counts for
+// that unit. It reads only the CSR, through the traversals.
+func countNDBasSubpattern(g *graph.Graph, spec Spec, us units, opt Options, gd *guard) (*Result, error) {
+	res := &Result{Counts: make([]int64, us.slots(g))}
+	gd.chargeMem(int64(len(res.Counts)) * 8)
 	matches, embs, err := globalMatchesGuarded(g, spec, opt, gd)
 	if err != nil {
 		return nil, err
 	}
 	res.NumMatches, res.Embeddings = len(matches), embs
 	anchorIdx := spec.anchorNodes()
-	focal := spec.focalList(g)
-	gd.setFocalTotal(len(focal))
-	prepare(g)
-	focalCost := func(i int) int64 { return 1 + int64(g.Degree(focal[i])) }
-	parallelFor(gd, opt.workers(), len(focal), focalCost, func(w, i int) {
-		n := focal[i]
-		s := graph.AcquireScratch(g.NumNodes())
-		reach := g.KHop(n, spec.K, s)
+	g.BuildCSR()
+	us.each(g, opt.workers(), gd, func(_, slot int, reach graph.Reach) {
 		var count int64
 		tk := ticker{gd: gd}
 		for _, m := range matches {
@@ -110,8 +91,7 @@ func countNDBasSubpattern(g *graph.Graph, spec Spec, opt Options, gd *guard) (*R
 				count++
 			}
 		}
-		res.Counts[n] = count
-		s.Release()
+		res.Counts[slot] = count
 	})
 	return res, gd.failure(res, nil)
 }

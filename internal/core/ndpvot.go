@@ -8,8 +8,8 @@ import (
 // pivotIndex is the pattern match index of ND-PVOT (Algorithm 2, Section
 // IV-A1): the global match set bucketed by the image of an
 // eccentricity-minimizing anchor pivot. countNDPvot (one or several specs
-// sharing one BFS per focal node, the latter for CountMany) and pairNDPvot
-// count through it.
+// sharing one BFS per focal node, the latter for CountMany) and pairwise
+// ND-PVOT count through it, in countPivots.
 type pivotIndex struct {
 	matches []pattern.Match
 	// pmi[n'] lists the indices of the matches mapping the pivot to n'.
@@ -54,7 +54,7 @@ func (ix *pivotIndex) check(d, k int) (anchors []int, all bool) {
 }
 
 // count returns the number of indexed matches whose anchor images all lie
-// in reach, one focal node's k-hop neighborhood. A stop observed by tk
+// in reach, one unit's neighborhood of radius k. A stop observed by tk
 // returns its error and no count.
 func (ix *pivotIndex) count(reach graph.Reach, k int, tk *ticker) (int64, error) {
 	var count int64
@@ -86,27 +86,27 @@ func (ix *pivotIndex) count(reach graph.Reach, k int, tk *ticker) (int64, error)
 }
 
 // countNDPvot is the pivot indexing algorithm (Algorithm 2) over specs
-// sharing one radius and focal set: find each spec's matches once and
-// index them by pivot image (pivotIndex), then BFS each focal node's
+// sharing one radius and unit list: find each spec's matches once and
+// index them by pivot image (pivotIndex), then traverse each unit's
 // neighborhood once and count every index against it — skipping
 // containment checks whenever the triangle inequality through the pivot
-// already guarantees containment. Focal nodes are processed in parallel
-// across Options.Workers; each owns a disjoint result slot, and one
-// stopped by the guard keeps 0. The typed error carries the first spec's
-// partial census.
+// already guarantees containment. Units are processed in parallel across
+// Options.Workers; each owns a disjoint result slot, and one stopped by
+// the guard keeps 0. The typed error carries the first spec's partial
+// census.
 //
 //egolint:deterministic census drivers must be bit-identical across runs, algorithms, and worker counts
-func countNDPvot(g *graph.Graph, specs []Spec, opt Options, gd *guard) ([]*Result, error) {
+func countNDPvot(g *graph.Graph, specs []Spec, us units, opt Options, gd *guard) ([]*Result, error) {
 	results := make([]*Result, len(specs))
 	indexes := make([]*pivotIndex, len(specs))
 	indexed := false
 	for i, spec := range specs {
-		gd.chargeMem(int64(g.NumNodes()) * 8)
+		gd.chargeMem(int64(us.slots(g)) * 8)
 		matches, embs, err := globalMatchesGuarded(g, spec, opt, gd)
 		if err != nil {
 			return nil, err
 		}
-		results[i] = &Result{Counts: make([]int64, g.NumNodes()), NumMatches: len(matches), Embeddings: embs}
+		results[i] = &Result{Counts: make([]int64, us.slots(g)), NumMatches: len(matches), Embeddings: embs}
 		if len(matches) > 0 {
 			indexes[i], indexed = newPivotIndex(g.NumNodes(), spec, matches), true
 		}
@@ -118,36 +118,32 @@ func countNDPvot(g *graph.Graph, specs []Spec, opt Options, gd *guard) ([]*Resul
 	for i, r := range results {
 		counts[i] = r.Counts
 	}
-	countPivots(g, specs[0].K, specs[0].focalList(g), indexes, counts, opt, gd)
+	countPivots(g, us, indexes, counts, opt, gd)
 	return results, gd.failure(results[0], nil)
 }
 
 // countPivots counts every pivot index (nil ones are skipped) against
-// each focal node's k-hop neighborhood, one shared BFS per node, into the
-// index's count vector. Focal nodes are processed in parallel across
-// opt.Workers; each owns a disjoint slot, and one stopped by the guard
-// keeps 0.
+// each unit's reach, one shared traversal per unit, into the index's count
+// vector at the unit's slot. The reach distance is d(n, n') for a focal
+// node and, for a pair, the max (∩) or min (∪) of the two (Appendix B).
+// Units are processed in parallel across opt.Workers; each owns a
+// disjoint slot, and one stopped by the guard keeps 0. The count reads
+// only the CSR, through the traversals.
 //
 //egolint:deterministic census drivers must be bit-identical across runs, algorithms, and worker counts
-func countPivots(g *graph.Graph, k int, focal []graph.NodeID, indexes []*pivotIndex, counts [][]int64, opt Options, gd *guard) {
-	prepare(g)
-	gd.setFocalTotal(len(focal))
-	focalCost := func(i int) int64 { return 1 + int64(g.Degree(focal[i])) }
-	parallelFor(gd, opt.workers(), len(focal), focalCost, func(_, fi int) {
-		n := focal[fi]
-		s := graph.AcquireScratch(g.NumNodes())
-		defer s.Release()
-		reach := g.KHop(n, k, s) // the shared traversal
+func countPivots(g *graph.Graph, us units, indexes []*pivotIndex, counts [][]int64, opt Options, gd *guard) {
+	g.BuildCSR()
+	us.each(g, opt.workers(), gd, func(_, slot int, reach graph.Reach) {
 		tk := ticker{gd: gd}
 		for i, ix := range indexes {
 			if ix == nil {
 				continue
 			}
-			count, err := ix.count(reach, k, &tk)
+			count, err := ix.count(reach, us.k, &tk)
 			if err != nil {
 				return
 			}
-			counts[i][n] = count
+			counts[i][slot] = count
 		}
 	})
 }

@@ -168,7 +168,7 @@ func (focalSelectOp) Run(st *execState) error {
 		st.table.Stats.FocalCount = -1
 		return nil
 	}
-	seen := map[Pair]bool{}
+	var pairs []Pair
 	for i := 0; i < st.g.NumNodes(); i++ {
 		for j := 0; j < st.g.NumNodes(); j++ {
 			if tk.tick() != nil {
@@ -183,14 +183,11 @@ func (focalSelectOp) Run(st *execState) error {
 				return err
 			}
 			if ok {
-				seen[MakePair(a, b)] = true
+				pairs = append(pairs, Pair{a, b})
 			}
 		}
 	}
-	st.pairSpec.Pairs = make([]Pair, 0, len(seen))
-	for pr := range seen {
-		st.pairSpec.Pairs = append(st.pairSpec.Pairs, pr)
-	}
+	st.pairSpec.Pairs = canonicalPairs(pairs)
 	st.table.Stats.FocalCount = len(st.pairSpec.Pairs)
 	return nil
 }

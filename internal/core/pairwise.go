@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
+	"iter"
+	"maps"
 	"math/rand"
+	"slices"
 
 	"egocensus/internal/graph"
-	"egocensus/internal/match"
 )
 
 // PairMode selects the pairwise neighborhood combinator.
@@ -105,10 +107,8 @@ func CountPairsContext(ctx context.Context, g *graph.Graph, spec PairSpec, alg A
 //egolint:deterministic census drivers must be bit-identical across runs, algorithms, and worker counts
 func countPairsGuarded(g *graph.Graph, spec PairSpec, alg Algorithm, opt Options, gd *guard) (*PairResult, error) {
 	switch alg {
-	case NDBas:
-		return pairNDBas(g, spec, opt, gd)
-	case NDPvot:
-		return pairNDPvot(g, spec, opt, gd)
+	case NDBas, NDPvot:
+		return pairND(g, spec, alg, opt, gd)
 	case PTBas:
 		return pairPTDriven(g, spec, opt, gd)
 	case PTOpt:
@@ -150,188 +150,32 @@ func pairAdder(res *PairResult, spec PairSpec, gd *guard) func(a, b graph.NodeID
 	}
 }
 
-// pairNDBas matches inside the intersection/union neighborhood of each
-// pair — the reference semantics (COUNTP only; COUNTSP censuses fall back
-// to global matching plus containment checks). A CN counting run counts
-// in place on g with the pair's combined reach as the mask, as countNDBas
-// does.
-func pairNDBas(g *graph.Graph, spec PairSpec, opt Options, gd *guard) (*PairResult, error) {
+// pairND runs a node-driven pair census on the single-node drivers' unit
+// loops (Appendix B): each distinct listed pair is one unit, whose reach
+// is the pair's combined neighborhood. The non-zero slots become the
+// result in pair order, one charged row each.
+func pairND(g *graph.Graph, spec PairSpec, alg Algorithm, opt Options, gd *guard) (*PairResult, error) {
 	if spec.Pairs == nil {
-		return nil, fmt.Errorf("census: ND-BAS pairwise requires an explicit pair list")
+		return nil, fmt.Errorf("census: %s pairwise requires an explicit pair list", alg)
 	}
-	if spec.Subpattern != "" {
-		return pairNDContainment(g, spec, opt, gd)
+	us := pairUnits(spec)
+	counts, err := countUnits(g, spec.Spec, us, alg, opt, gd)
+	if counts == nil {
+		return nil, err
 	}
-	res := &PairResult{Counts: make(map[Pair]int64, len(spec.Pairs))}
-	run := match.CN{Stop: gd.stopFunc()}.NewCountRun()
-	return countListedPairs(g, spec, gd, res, func(mask *pairMask) int64 {
-		if len(mask.nodes) == 0 {
-			return 0
+	// A non-nil err is the guard's stop, raised again below with the
+	// pairs in place of the slot vector.
+	res := &PairResult{Counts: make(map[Pair]int64), NumMatches: counts.NumMatches, Embeddings: counts.Embeddings}
+	for i, c := range counts.Counts {
+		if c == 0 {
+			continue
 		}
-		d, _ := run.CountWithin(g, spec.Pattern, mask, nil)
-		return int64(d)
-	})
-}
-
-// countListedPairs is the pair loop of the node-driven pair drivers: it
-// builds the combined neighborhood of each distinct listed pair, calls
-// count on it, and records the non-zero counts, charging one result row
-// per recorded pair. A pair listed twice, in either order, is counted and
-// charged once.
-func countListedPairs(g *graph.Graph, spec PairSpec, gd *guard, res *PairResult, count func(mask *pairMask) int64) (*PairResult, error) {
-	pairs := make([]Pair, 0, len(spec.Pairs))
-	seen := make(map[Pair]bool, len(spec.Pairs))
-	for _, pr := range spec.Pairs {
-		pr = MakePair(pr.A, pr.B)
-		if !seen[pr] {
-			seen[pr] = true
-			pairs = append(pairs, pr)
-		}
-	}
-	gd.setFocalTotal(len(pairs))
-	sa := graph.AcquireScratch(g.NumNodes())
-	sb := graph.AcquireScratch(g.NumNodes())
-	defer sa.Release()
-	defer sb.Release()
-	mask := new(pairMask)
-	for _, pr := range pairs {
-		if gd.check() != nil {
+		if gd.chargeRows(1) != nil {
 			break
 		}
-		mask.set(g.KHop(pr.A, spec.K, sa), g.KHop(pr.B, spec.K, sb), spec.Mode == Union)
-		if c := count(mask); c > 0 {
-			if gd.chargeRows(1) != nil {
-				break
-			}
-			res.Counts[pr] = c
-		}
-		gd.focalTick()
+		res.Counts[us.pairs[i]] = c
 	}
 	return res, gd.failure(nil, res)
-}
-
-// pairMask is a pair's combined neighborhood, N_k(a) ∩ N_k(b) or
-// N_k(a) ∪ N_k(b), as a match.NodeSet over the parent graph — the node
-// set EgoIntersection/EgoUnion would extract.
-type pairMask struct {
-	a, b  graph.Reach
-	union bool
-	nodes []graph.NodeID
-}
-
-func (m *pairMask) set(a, b graph.Reach, union bool) {
-	m.a, m.b, m.union = a, b, union
-	m.nodes = m.nodes[:0]
-	if union {
-		m.nodes = append(m.nodes, a.Nodes...)
-	}
-	for _, n := range b.Nodes {
-		if a.Contains(n) != union {
-			m.nodes = append(m.nodes, n)
-		}
-	}
-}
-
-func (m *pairMask) Contains(n graph.NodeID) bool {
-	if m.union {
-		return m.a.Contains(n) || m.b.Contains(n)
-	}
-	return m.a.Contains(n) && m.b.Contains(n)
-}
-
-func (m *pairMask) Members() []graph.NodeID { return m.nodes }
-
-// dist is the distance ND-PVOT's triangle inequality starts from for a
-// member n: n must be near both sources of an intersection, so the larger
-// of its two BFS distances, and near either source of a union, so the
-// smaller one it has.
-func (m *pairMask) dist(n graph.NodeID) int {
-	da, db := m.a.Dist(n), m.b.Dist(n)
-	if !m.union {
-		return int(max(da, db))
-	}
-	if da < 0 || (db >= 0 && db < da) {
-		return int(db)
-	}
-	return int(da)
-}
-
-// pairNDContainment matches globally and containment-checks each anchor
-// image against the combined neighborhood of each pair.
-func pairNDContainment(g *graph.Graph, spec PairSpec, opt Options, gd *guard) (*PairResult, error) {
-	res := &PairResult{Counts: make(map[Pair]int64, len(spec.Pairs))}
-	matches, embs, err := globalMatchesGuarded(g, spec.Spec, opt, gd)
-	if err != nil {
-		return nil, err
-	}
-	res.NumMatches, res.Embeddings = len(matches), embs
-	anchorIdx := spec.anchorNodes()
-	tk := ticker{gd: gd}
-	return countListedPairs(g, spec, gd, res, func(mask *pairMask) int64 {
-		var count int64
-	next:
-		for _, m := range matches {
-			if tk.tick() != nil {
-				break
-			}
-			for _, idx := range anchorIdx {
-				if !mask.Contains(m[idx]) {
-					continue next
-				}
-			}
-			count++
-		}
-		return count
-	})
-}
-
-// pairNDPvot adapts the pivot indexing algorithm to pairs (Appendix B):
-// the traversal set becomes the pair's combined neighborhood (pairMask),
-// and d(n, n') becomes pairMask.dist, the max of the two BFS distances for
-// intersections and the min for unions; the pivotIndex decides the rest.
-func pairNDPvot(g *graph.Graph, spec PairSpec, opt Options, gd *guard) (*PairResult, error) {
-	if spec.Pairs == nil {
-		return nil, fmt.Errorf("census: ND-PVOT pairwise requires an explicit pair list")
-	}
-	res := &PairResult{Counts: make(map[Pair]int64, len(spec.Pairs))}
-	matches, embs, err := globalMatchesGuarded(g, spec.Spec, opt, gd)
-	if err != nil {
-		return nil, err
-	}
-	res.NumMatches, res.Embeddings = len(matches), embs
-	if len(matches) == 0 {
-		return res, nil
-	}
-	ix := newPivotIndex(g.NumNodes(), spec.Spec, matches)
-	tk := ticker{gd: gd}
-	return countListedPairs(g, spec, gd, res, func(mask *pairMask) int64 {
-		var count int64
-		for _, nPrime := range mask.nodes {
-			if tk.tick() != nil {
-				break
-			}
-			bucket := ix.pmi[nPrime]
-			if len(bucket) == 0 {
-				continue
-			}
-			toCheck, all := ix.check(mask.dist(nPrime), spec.K)
-			if all {
-				count += int64(len(bucket))
-				continue
-			}
-		next:
-			for _, mi := range bucket {
-				m := ix.matches[mi]
-				for _, u := range toCheck {
-					if !mask.Contains(m[u]) {
-						continue next
-					}
-				}
-				count++
-			}
-		}
-		return count
-	})
 }
 
 // pairPTOpt is the optimized pattern-driven pairwise evaluator: matches
@@ -376,87 +220,86 @@ func pairPTOpt(g *graph.Graph, spec PairSpec, opt Options, randomOrder bool, gd 
 			if gd.stopped() {
 				break
 			}
-			m := matches[mi]
-			anchors := matchAnchors(spec.Spec, anchorIdx, m)
-			if len(anchors) > 63 {
-				return nil, fmt.Errorf("census: union/intersection supports at most 63 anchor nodes, got %d", len(anchors))
-			}
-			full := uint64(1)<<uint(len(anchors)) - 1
+			anchors := matchAnchors(spec.Spec, anchorIdx, matches[mi])
 			positions := make([]int, len(anchors))
 			for i, a := range anchors {
 				positions[i] = anchorPos[a]
 			}
-			if spec.Mode == Intersection {
-				var nm []graph.NodeID
+			masks := func(yield func(graph.NodeID, uint64) bool) {
 				for n, v := range pmd {
-					inAll := true
-					for _, pos := range positions {
-						if v[pos] > k {
-							inAll = false
-							break
+					var mask uint64
+					for i, pos := range positions {
+						if v[pos] <= k {
+							mask |= 1 << uint(i)
 						}
 					}
-					if inAll {
-						nm = append(nm, n)
-					}
-				}
-				for i := 0; i < len(nm) && !gd.stopped(); i++ {
-					for j := i + 1; j < len(nm); j++ {
-						add(nm[i], nm[j], 1)
-					}
-				}
-				gd.focalTick()
-				continue
-			}
-			groups := make(map[uint64][]graph.NodeID)
-			covered := make(map[graph.NodeID]bool)
-			for n, v := range pmd {
-				var mask uint64
-				for i, pos := range positions {
-					if v[pos] <= k {
-						mask |= 1 << uint(i)
-					}
-				}
-				if mask != 0 {
-					groups[mask] = append(groups[mask], n)
-					covered[n] = true
-				}
-			}
-			var complement []graph.NodeID
-			if len(groups[full]) > 0 {
-				for i := 0; i < g.NumNodes(); i++ {
-					if !covered[graph.NodeID(i)] {
-						complement = append(complement, graph.NodeID(i))
+					if !yield(n, mask) {
+						return
 					}
 				}
 			}
-			emitUnionPairs(gd, groups, full, complement, add)
+			if err := emitMatchPairs(g, spec.Mode, len(anchors), masks, gd, add); err != nil {
+				return nil, err
+			}
 			gd.focalTick()
 		}
 	}
 	return res, gd.failure(nil, res)
 }
 
-// emitUnionPairs adds one count for every unordered node pair whose masks
-// OR to the full anchor set. complement lists the nodes with an empty mask
-// (every graph node outside the traversed region): they pair with nodes
-// whose own mask already covers all anchors. The O(pairs) emission loops
-// poll the guard so a stop cuts them short within one group row.
-func emitUnionPairs(gd *guard, groups map[uint64][]graph.NodeID, full uint64, complement []graph.NodeID, add func(a, b graph.NodeID, c int64)) {
+// emitMatchPairs adds one match to every pair its anchor masks admit
+// (Appendix B), the step pairPTDriven and pairPTOpt share. masks yields
+// nodes with the bitmask of the match's numAnchors distinct anchors
+// within k hops of each; an unlisted node, like a zero mask, reaches
+// none. A pair counts when its masks OR to full. Under ∩ that is every
+// pair of full-mask nodes, N[M] × N[M]. Under ∪ nodes are grouped by
+// mask, and full-mask nodes also pair with every node that reaches no
+// anchor: the paper's 2-partition scheme, counted once per pair. The
+// O(pairs) loops poll the guard so a stop cuts them short within a row.
+func emitMatchPairs(g *graph.Graph, mode PairMode, numAnchors int, masks iter.Seq2[graph.NodeID, uint64], gd *guard, add func(a, b graph.NodeID, c int64)) error {
+	if numAnchors > 63 {
+		return fmt.Errorf("census: union/intersection supports at most 63 anchor nodes, got %d", numAnchors)
+	}
+	full := uint64(1)<<uint(numAnchors) - 1
+	if mode == Intersection {
+		var nm []graph.NodeID
+		for n, mask := range masks {
+			if mask == full {
+				nm = append(nm, n)
+			}
+		}
+		for i := 0; i < len(nm) && !gd.stopped(); i++ {
+			for j := i + 1; j < len(nm); j++ {
+				add(nm[i], nm[j], 1)
+			}
+		}
+		return nil
+	}
+	groups := make(map[uint64][]graph.NodeID)
+	for n, mask := range masks {
+		if mask != 0 {
+			groups[mask] = append(groups[mask], n)
+		}
+	}
 	if gf := groups[full]; len(gf) > 0 {
+		covered := make([]bool, g.NumNodes())
+		for _, ns := range groups {
+			for _, n := range ns {
+				covered[n] = true
+			}
+		}
 		for _, a := range gf {
 			if gd.stopped() {
-				return
+				return nil
 			}
-			for _, b := range complement {
-				add(a, b, 1)
+			for b, c := range covered {
+				if !c {
+					add(a, graph.NodeID(b), 1)
+				}
 			}
 		}
 	}
-	maskList := make([]uint64, 0, len(groups))
-	for mask := range groups {
-		maskList = append(maskList, mask)
-	}
+	maskList := slices.Collect(maps.Keys(groups))
 	for i := 0; i < len(maskList) && !gd.stopped(); i++ {
 		for j := i; j < len(maskList); j++ {
 			x, y := maskList[i], maskList[j]
@@ -482,14 +325,12 @@ func emitUnionPairs(gd *guard, groups map[uint64][]graph.NodeID, full uint64, co
 			}
 		}
 	}
+	return nil
 }
 
-// pairPTDriven processes each match once: compute the set of nodes within
-// k hops of each anchor, then emit pairs. For intersections every pair of
-// nodes that both reach all anchors gets the match (N[M] x N[M]); for
-// unions, nodes are grouped by the bitmask of anchors they reach and every
-// pair of masks whose union covers all anchors contributes (the paper's
-// 2-partition scheme, counted exactly once per pair).
+// pairPTDriven processes each match once: one BFS per anchor gives every
+// node within k hops of some anchor its anchor mask, and emitMatchPairs
+// emits the match's pairs from the masks.
 func pairPTDriven(g *graph.Graph, spec PairSpec, opt Options, gd *guard) (*PairResult, error) {
 	res := &PairResult{Counts: make(map[Pair]int64)}
 	matches, embs, err := globalMatchesGuarded(g, spec.Spec, opt, gd)
@@ -510,9 +351,6 @@ func pairPTDriven(g *graph.Graph, spec PairSpec, opt Options, gd *guard) (*PairR
 			break
 		}
 		anchors := matchAnchors(spec.Spec, anchorIdx, m)
-		if len(anchors) > 63 {
-			return nil, fmt.Errorf("census: union/intersection supports at most 63 anchor nodes, got %d", len(anchors))
-		}
 		// masks[n] = bitmask of anchors within k hops of n.
 		masks := make(map[graph.NodeID]uint64)
 		s := graph.AcquireScratch(g.NumNodes())
@@ -523,38 +361,9 @@ func pairPTDriven(g *graph.Graph, spec PairSpec, opt Options, gd *guard) (*PairR
 			}
 		}
 		s.Release()
-		full := uint64(1)<<uint(len(anchors)) - 1
-
-		if spec.Mode == Intersection {
-			var nm []graph.NodeID
-			for n, mask := range masks {
-				if mask == full {
-					nm = append(nm, n)
-				}
-			}
-			for i := 0; i < len(nm) && !gd.stopped(); i++ {
-				for j := i + 1; j < len(nm); j++ {
-					add(nm[i], nm[j], 1)
-				}
-			}
-			gd.focalTick()
-			continue
+		if err := emitMatchPairs(g, spec.Mode, len(anchors), maps.All(masks), gd, add); err != nil {
+			return nil, err
 		}
-
-		// Union: group nodes by mask, then pair up complementary groups.
-		groups := make(map[uint64][]graph.NodeID)
-		for n, mask := range masks {
-			groups[mask] = append(groups[mask], n)
-		}
-		var complement []graph.NodeID
-		if len(groups[full]) > 0 {
-			for i := 0; i < g.NumNodes(); i++ {
-				if _, ok := masks[graph.NodeID(i)]; !ok {
-					complement = append(complement, graph.NodeID(i))
-				}
-			}
-		}
-		emitUnionPairs(gd, groups, full, complement, add)
 		gd.focalTick()
 	}
 	return res, gd.failure(nil, res)

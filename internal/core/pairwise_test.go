@@ -1,8 +1,11 @@
 package core
 
 import (
+	"cmp"
+	"errors"
 	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -12,12 +15,14 @@ import (
 	"egocensus/internal/pattern"
 )
 
-// brutePairCounts computes the reference pairwise census from the
-// definition: global matches, anchors contained in the combined
-// neighborhood.
+// brutePairCounts is the pairwise census oracle, sharing no code with CN
+// or the drivers: match.Brute enumerates every embedding, Deduplicate
+// keeps one per match (per subpattern image for COUNTSP), as bruteCensus
+// does, and a pair counts the matches whose anchor images lie in the
+// intersection or union of the two k-hop maps.
 func brutePairCounts(t *testing.T, g *graph.Graph, spec PairSpec, pairs []Pair) map[Pair]int64 {
 	t.Helper()
-	matches := referenceMatches(g, spec.Spec)
+	matches := match.Deduplicate(spec.Pattern, match.Brute{}.Embeddings(g, spec.Pattern), spec.subNodesForKey())
 	anchorIdx := spec.anchorNodes()
 	out := make(map[Pair]int64)
 	for _, pr := range pairs {
@@ -56,6 +61,12 @@ func allPairs(g *graph.Graph) []Pair {
 	return pairs
 }
 
+// pairAlgorithms lists the five pairwise drivers.
+var pairAlgorithms = []Algorithm{NDBas, NDPvot, PTBas, PTOpt, PTRnd}
+
+// checkPairAlgorithms holds every pairwise driver, at workers 1 and 4, to
+// the oracle on spec's pairs (all pairs when unlisted), and requires each
+// driver's counts to be identical at both worker counts.
 func checkPairAlgorithms(t *testing.T, g *graph.Graph, spec PairSpec) {
 	t.Helper()
 	pairs := spec.Pairs
@@ -63,22 +74,30 @@ func checkPairAlgorithms(t *testing.T, g *graph.Graph, spec PairSpec) {
 		pairs = allPairs(g)
 	}
 	want := brutePairCounts(t, g, spec, pairs)
-	for _, alg := range []Algorithm{NDBas, NDPvot, PTBas, PTOpt, PTRnd} {
-		res, err := CountPairs(g, spec, alg, Options{})
-		if err != nil {
-			t.Fatalf("%s: %v", alg, err)
-		}
-		for _, pr := range pairs {
-			key := MakePair(pr.A, pr.B)
-			if res.Counts[key] != want[key] {
-				t.Fatalf("%s (%v): pair %v = %d want %d (k=%d, pattern=%s)",
-					alg, spec.Mode, key, res.Counts[key], want[key], spec.K, spec.Pattern.Name)
+	for _, alg := range pairAlgorithms {
+		var first map[Pair]int64
+		for _, workers := range []int{1, 4} {
+			res, err := CountPairs(g, spec, alg, Options{Workers: workers})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", alg, workers, err)
 			}
-		}
-		// No spurious pairs either.
-		for key, c := range res.Counts {
-			if c != 0 && want[key] != c {
-				t.Fatalf("%s (%v): spurious pair %v = %d want %d", alg, spec.Mode, key, c, want[key])
+			for _, pr := range pairs {
+				key := MakePair(pr.A, pr.B)
+				if res.Counts[key] != want[key] {
+					t.Fatalf("%s workers=%d (%v): pair %v = %d want %d (k=%d, pattern=%s)",
+						alg, workers, spec.Mode, key, res.Counts[key], want[key], spec.K, spec.Pattern.Name)
+				}
+			}
+			// No spurious pairs either.
+			for key, c := range res.Counts {
+				if c != 0 && want[key] != c {
+					t.Fatalf("%s workers=%d (%v): spurious pair %v = %d want %d", alg, workers, spec.Mode, key, c, want[key])
+				}
+			}
+			if first == nil {
+				first = res.Counts
+			} else if !maps.Equal(res.Counts, first) {
+				t.Fatalf("%s (%v): counts differ between workers 1 and 4", alg, spec.Mode)
 			}
 		}
 	}
@@ -201,10 +220,18 @@ func TestPairwiseSubpattern(t *testing.T) {
 	}
 }
 
+// TestPairwiseAgreeProperty draws random graphs, directed or not, random
+// patterns, COUNTP or COUNTSP, and a random combinator and radius, and
+// holds every pairwise driver at workers 1 and 4 to the oracle.
 func TestPairwiseAgreeProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g := gen.ErdosRenyi(10+rng.Intn(8), 20+rng.Intn(15), seed)
+		n := 10 + rng.Intn(8)
+		g := gen.ErdosRenyi(n, 20+rng.Intn(15), seed)
+		directed := rng.Intn(2) == 1
+		if directed {
+			g = gen.DirectedPreferentialAttachment(n, 2, seed)
+		}
 		mode := Intersection
 		if rng.Intn(2) == 1 {
 			mode = Union
@@ -219,28 +246,41 @@ func TestPairwiseAgreeProperty(t *testing.T) {
 		default:
 			// A chain's pivot is over a hop from its far anchors, which
 			// takes ND-PVOT into partial containment checks.
-			p = pattern.Chain("ch4", 4, nil)
-			if err := p.AddSubpattern("ends", []int{0, 3}); err != nil {
+			p, sub = pattern.Chain("ch4", 4, nil), "ends"
+			if directed {
+				p = directedPath("dpath", nil)
+			}
+			if err := p.AddSubpattern("ends", []int{0, p.NumNodes() - 1}); err != nil {
 				t.Fatal(err)
 			}
 			if rng.Intn(2) == 0 {
-				sub = "ends"
+				sub = ""
 			}
 		}
 		k := 1 + rng.Intn(2)
 		spec := PairSpec{Spec: Spec{Pattern: p, Subpattern: sub, K: k}, Mode: mode}
 		spec.Pairs = allPairs(g)
 		want := brutePairCounts(t, g, spec, spec.Pairs)
-		for _, alg := range []Algorithm{NDBas, NDPvot, PTBas, PTOpt, PTRnd} {
-			res, err := CountPairs(g, spec, alg, Options{Seed: seed})
-			if err != nil {
-				t.Log(err)
-				return false
-			}
-			for _, pr := range spec.Pairs {
-				key := MakePair(pr.A, pr.B)
-				if res.Counts[key] != want[key] {
-					t.Logf("seed %d %s %v %s/%q k=%d pair %v: %d want %d", seed, alg, mode, p.Name, sub, k, key, res.Counts[key], want[key])
+		for _, alg := range pairAlgorithms {
+			var first map[Pair]int64
+			for _, workers := range []int{1, 4} {
+				res, err := CountPairs(g, spec, alg, Options{Seed: seed, Workers: workers})
+				if err != nil {
+					t.Log(err)
+					return false
+				}
+				for _, pr := range spec.Pairs {
+					key := MakePair(pr.A, pr.B)
+					if res.Counts[key] != want[key] {
+						t.Logf("seed %d %s workers=%d directed=%v %v %s/%q k=%d pair %v: %d want %d",
+							seed, alg, workers, directed, mode, p.Name, sub, k, key, res.Counts[key], want[key])
+						return false
+					}
+				}
+				if first == nil {
+					first = res.Counts
+				} else if !maps.Equal(res.Counts, first) {
+					t.Logf("seed %d %s: counts differ between workers 1 and 4", seed, alg)
 					return false
 				}
 			}
@@ -249,6 +289,23 @@ func TestPairwiseAgreeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPairwiseDirected holds the pairwise drivers to the oracle on a
+// directed graph, COUNTP and COUNTSP, under both combinators.
+func TestPairwiseDirected(t *testing.T) {
+	g := gen.DirectedPreferentialAttachment(16, 2, 47)
+	p := directedPath("dpath", nil)
+	if err := p.AddSubpattern("ends", []int{0, 2}); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []PairMode{Intersection, Union} {
+		for _, sub := range []string{"", "ends"} {
+			for _, k := range []int{1, 2} {
+				checkPairAlgorithms(t, g, PairSpec{Spec: Spec{Pattern: p, Subpattern: sub, K: k}, Mode: mode, Pairs: allPairs(g)})
+			}
+		}
 	}
 }
 
@@ -381,6 +438,50 @@ func TestPairDuplicateChargedOnce(t *testing.T) {
 			}
 			if !maps.Equal(got.Counts, want.Counts) || len(got.Counts) != 1 {
 				t.Fatalf("%s %s: duplicated %v, single %v", s.Pattern.Name, alg, got.Counts, want.Counts)
+			}
+		}
+	}
+}
+
+// TestPairwisePartialPairsDeterministic runs a row-limited node-driven
+// pair query repeatedly and at workers 1 and 4: the partial pairs are the
+// first non-zero pairs in (A, B) order every time, with their full counts.
+func TestPairwisePartialPairsDeterministic(t *testing.T) {
+	g := gen.ErdosRenyi(60, 150, 53)
+	const q = `
+PATTERN e1 { ?A-?B; }
+SELECT n1.ID, n2.ID, COUNTP(e1, SUBGRAPH-UNION(n1.ID, n2.ID, 1))
+FROM nodes AS n1, nodes AS n2 WHERE n1.ID < 30 AND n2.ID < 30`
+	full := NewEngine(g)
+	full.Alg = NDPvot
+	tables, err := full.Execute(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Both orders of a pair pass the WHERE; the census counts it once.
+	counts := make(map[Pair]int64)
+	for _, row := range tables[0].TypedRows {
+		counts[MakePair(row.Focal[0], row.Focal[1])] = row.Count
+	}
+	order := slices.SortedFunc(maps.Keys(counts), func(x, y Pair) int {
+		return cmp.Or(cmp.Compare(x.A, y.A), cmp.Compare(x.B, y.B))
+	})
+	wantCounts := make(map[Pair]int64)
+	for _, pr := range order[:20] {
+		wantCounts[pr] = counts[pr]
+	}
+	for _, workers := range []int{1, 4} {
+		for run := 0; run < 10; run++ {
+			e := NewEngine(g)
+			e.Alg = NDPvot
+			e.Opt = Options{Workers: workers, Limits: Limits{MaxResultRows: 20}}
+			_, err := e.Execute(q)
+			var le *LimitError
+			if !errors.As(err, &le) || le.PartialPairs == nil {
+				t.Fatalf("workers=%d run %d: err = %v, want a *LimitError with partial pairs", workers, run, err)
+			}
+			if !maps.Equal(le.PartialPairs.Counts, wantCounts) {
+				t.Fatalf("workers=%d run %d: partial pairs %v, want %v", workers, run, le.PartialPairs.Counts, wantCounts)
 			}
 		}
 	}

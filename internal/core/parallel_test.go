@@ -273,8 +273,8 @@ func TestBuildSchedule(t *testing.T) {
 
 // TestParallelForHelpers covers the two pool entry points directly, with
 // uniform (nil) and skewed cost estimates: full coverage of the index
-// space, worker clamping, merge equivalence, and a guard stop that lets
-// no further item start.
+// space, worker clamping, merge equivalence, and a guard stop after which
+// each worker starts at most the one item it had already checked in.
 func TestParallelForHelpers(t *testing.T) {
 	skew := func(i int) int64 { return int64(1 + (i%7)*(i%7)*50) }
 	for _, workers := range []int{1, 3, 16} {
@@ -303,12 +303,19 @@ func TestParallelForHelpers(t *testing.T) {
 				}
 			}
 
-			// A guard stopped from inside the body: no item starts after the
-			// stop, so each worker runs at most the item it was already in.
+			// A guard stopped from inside the body. The pool checks the
+			// guard before each item, so a body can begin after the stop
+			// only if its worker checked just before it: at most one per
+			// worker. Bodies that began before the stop are not bounded (the
+			// stopping worker may be descheduled between its count and
+			// gd.stop), so only the late ones are counted.
 			for _, merge := range []bool{false, true} {
 				gd := &guard{}
-				var ran atomic.Int64
+				var ran, late atomic.Int64
 				body := func(int) {
+					if gd.stopped() {
+						late.Add(1)
+					}
 					if ran.Add(1) == 5 {
 						gd.stop(context.Canceled)
 					}
@@ -318,8 +325,11 @@ func TestParallelForHelpers(t *testing.T) {
 				} else {
 					parallelFor(gd, workers, 1000, cost, func(_, i int) { body(i) })
 				}
-				if got := ran.Load(); got < 5 || got > int64(4+workers) {
-					t.Fatalf("%s merge=%v: %d items ran after a stop at the 5th", name, merge, got)
+				if got := ran.Load(); got < 5 {
+					t.Fatalf("%s merge=%v: %d items ran, want the stop at the 5th", name, merge, got)
+				}
+				if got := late.Load(); got > int64(workers) {
+					t.Fatalf("%s merge=%v: %d items began after the stop, want at most %d (one per worker)", name, merge, got, workers)
 				}
 			}
 		}

@@ -234,6 +234,36 @@ func TestKHopNodes(t *testing.T) {
 	}
 }
 
+// TestReachIntersect checks N_k(a) ∩ N_k(b) on a path: the members are the
+// nodes both balls hold, in a's BFS order, each at the farther of its two
+// distances; the dropped nodes are no longer contained; and the next
+// traversal on the same scratch starts clean.
+func TestReachIntersect(t *testing.T) {
+	g := path(t, 8)
+	sa, sb := AcquireScratch(g.NumNodes()), AcquireScratch(g.NumNodes())
+	defer sa.Release()
+	defer sb.Release()
+	r := g.KHop(2, 2, sa).Intersect(g.KHop(5, 2, sb))
+	if want := []NodeID{3, 4}; !reflect.DeepEqual(r.Nodes, want) {
+		t.Fatalf("members = %v, want %v", r.Nodes, want)
+	}
+	for n, want := range map[NodeID]int32{3: 2, 4: 2, 0: -1, 1: -1, 2: -1, 5: -1, 6: -1, 7: -1} {
+		if got := r.Dist(n); got != want {
+			t.Fatalf("Dist(%d) = %d, want %d", n, got, want)
+		}
+		if r.Contains(n) != (want >= 0) {
+			t.Fatalf("Contains(%d) = %v, want %v", n, r.Contains(n), want >= 0)
+		}
+	}
+	if r := g.KHop(2, 2, sa).Intersect(g.KHop(7, 1, sb)); r.Len() != 0 || r.Contains(2) {
+		t.Fatalf("disjoint balls intersect in %v", r.Nodes)
+	}
+	next := g.KHop(0, 1, sa)
+	if want := []NodeID{0, 1}; !reflect.DeepEqual(next.Nodes, want) || next.Contains(3) || next.Dist(1) != 1 {
+		t.Fatalf("next traversal on the scratch: nodes %v, Contains(3) %v, Dist(1) %d", next.Nodes, next.Contains(3), next.Dist(1))
+	}
+}
+
 func TestDistances(t *testing.T) {
 	g := path(t, 4)
 	iso := g.AddNode()

@@ -75,14 +75,16 @@ type Reach struct {
 // Len returns the number of reached nodes (|N_k(src)| + 1 for the source).
 func (r Reach) Len() int { return len(r.Nodes) }
 
-// Contains reports whether n was reached.
-func (r Reach) Contains(n NodeID) bool {
+// Contains reports whether n was reached. It and Dist take a pointer: a
+// Reach is too large to live in registers, so a value receiver would copy
+// it on every inlined membership test of the census inner loops.
+func (r *Reach) Contains(n NodeID) bool {
 	return int(n) < len(r.mark) && r.mark[n] == r.epoch
 }
 
 // Dist returns the hop distance of n from the source, or -1 when n was not
 // reached.
-func (r Reach) Dist(n NodeID) int32 {
+func (r *Reach) Dist(n NodeID) int32 {
 	if int(n) >= len(r.mark) || r.mark[n] != r.epoch {
 		return -1
 	}
@@ -90,8 +92,30 @@ func (r Reach) Dist(n NodeID) int32 {
 }
 
 // Members returns the reached nodes in BFS order (the Nodes field; the
-// method form satisfies the match package's NodeSet interface).
+// method form lets *Reach satisfy the match package's NodeSet interface).
 func (r Reach) Members() []NodeID { return r.Nodes }
+
+// Intersect restricts r to the nodes other also reached, with Dist the
+// larger of the two distances: for two k-hop traversals from a and b it
+// is N_k(a) ∩ N_k(b) under max distance, the pairwise neighborhood of
+// SUBGRAPH-INTERSECTION. It edits r's scratch in place — dropped nodes
+// are unmarked, kept ones stay in r's BFS order — so the result replaces
+// r and is valid as long as r was. other must come from another Scratch
+// and is only read.
+func (r Reach) Intersect(other Reach) Reach {
+	kept := r.Nodes[:0]
+	for _, n := range r.Nodes {
+		d := other.Dist(n)
+		if d < 0 {
+			r.mark[n] = 0 // epochs start at 1, so 0 is never a live mark
+			continue
+		}
+		r.dist[n] = max(r.dist[n], d)
+		kept = append(kept, n)
+	}
+	r.Nodes = kept
+	return r
+}
 
 // KHop computes the k-hop neighborhood of src — N_k(src) plus src itself —
 // using s as working memory (maxDepth < 0 means unbounded). It is the

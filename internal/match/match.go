@@ -30,7 +30,7 @@ type Matcher interface {
 }
 
 // NodeSet is a set of graph nodes that masked matching can be restricted
-// to. graph.Reach implements it.
+// to. *graph.Reach implements it.
 type NodeSet interface {
 	// Contains reports set membership.
 	Contains(n graph.NodeID) bool
