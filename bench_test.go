@@ -339,57 +339,59 @@ func BenchmarkCountMany(b *testing.B) {
 	})
 }
 
-// BenchmarkIncremental measures census maintenance per inserted edge: a
-// writer publishes random edges in batches of 1, 16 and 256, and a
-// Maintainer folds each batch in from the published snapshots (the
-// publish is timed too). recompute is one full census of the starting
-// graph. floor is the per-epoch cost any batch pays before its first
-// masked CN run: a one-edge publish plus the label profiles and hub
-// bitmaps CN builds lazily on each fresh snapshot. At k=1 the affected
-// region is small; at k=2 on small-world graphs most matches sit within
-// one hop of any new edge, so maintenance degenerates toward a rebuild
-// (see DESIGN.md).
+// BenchmarkIncremental measures census maintenance per inserted edge on
+// preferential-attachment graphs of n nodes, at radius k: a writer
+// publishes random edges in batches of 1, 16 and 256, and a Maintainer
+// folds each batch in from the published snapshots (the publish is timed
+// too). recompute is one full ND-PVOT census of the starting graph.
+// floor is the per-epoch cost any batch pays before its first masked CN
+// run: a one-edge publish plus the label profiles and hub bitmaps CN
+// builds lazily on each fresh snapshot. Maintenance recounts only the
+// nodes a batch can change (see DESIGN.md), so at k=2 a small batch costs
+// a small fraction of a recount.
 func BenchmarkIncremental(b *testing.B) {
-	spec := core.Spec{Pattern: pattern.Clique("clq3-unlb", 3, nil), K: 1}
-	for _, batch := range []int{1, 16, 256} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(7))
-			var w *graph.ShardedWriter
-			for i := 0; i < b.N; i++ {
-				// A fresh graph every 1 024 edges keeps every batch size
-				// measuring the same 10 000-edge graph, not one grown by b.N.
-				if i%1024 == 0 {
-					b.StopTimer()
-					w = graph.NewShardedWriter(benchUnlabeledGraph(2000), 1)
-					mt := core.NewMaintainer(w.Snapshot())
-					if err := mt.Register("q", spec, core.Options{Seed: 1}); err != nil {
-						b.Fatal(err)
-					}
-					w.Subscribe(func(s *graph.Snapshot, d graph.Delta) {
-						if err := mt.Apply(s, d); err != nil {
-							b.Error(err)
-						}
-					})
-					b.StartTimer()
-				}
-				w.AddEdge(graph.NodeID(rng.Intn(2000)), graph.NodeID(rng.Intn(2000)))
-				if (i+1)%batch == 0 {
-					if _, err := w.Publish(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-	}
-	b.Run("recompute", func(b *testing.B) {
-		g := benchUnlabeledGraph(2000)
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Count(g, spec, core.NDPvot, core.Options{Seed: 1}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	for _, n := range []int{2000, 20000} {
+		for _, k := range []int{1, 2} {
+			spec := core.Spec{Pattern: pattern.Clique("clq3-unlb", 3, nil), K: k}
+			for _, batch := range []int{1, 16, 256} {
+				b.Run(fmt.Sprintf("n=%d/k=%d/batch=%d", n, k, batch), func(b *testing.B) {
+					rng := rand.New(rand.NewSource(7))
+					var w *graph.ShardedWriter
+					for i := 0; i < b.N; i++ {
+						// A fresh graph every 1 024 edges keeps every batch size
+						// measuring the same starting graph, not one grown by b.N.
+						if i%1024 == 0 {
+							b.StopTimer()
+							w = graph.NewShardedWriter(benchUnlabeledGraph(n), 1)
+							mt := core.NewMaintainer(w.Snapshot())
+							if err := mt.Register("q", spec, core.Options{Seed: 1}); err != nil {
+								b.Fatal(err)
+							}
+							w.Subscribe(func(s *graph.Snapshot, d graph.Delta) {
+								if err := mt.Apply(s, d); err != nil {
+									b.Error(err)
+								}
+							})
+							b.StartTimer()
+						}
+						w.AddEdge(graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)))
+						if (i+1)%batch == 0 {
+							if _, err := w.Publish(); err != nil {
+								b.Fatal(err)
+							}
+						}
+					}
+				})
+			}
+			b.Run(fmt.Sprintf("n=%d/k=%d/recompute", n, k), func(b *testing.B) {
+				g := benchUnlabeledGraph(n)
+				for i := 0; i < b.N; i++ {
+					if _, err := core.Count(g, spec, core.NDPvot, core.Options{Seed: 1}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 		b.Run(fmt.Sprintf("floor/n=%d", n), func(b *testing.B) {
 			w := graph.NewShardedWriter(benchUnlabeledGraph(n), 1)
 			rng := rand.New(rand.NewSource(7))

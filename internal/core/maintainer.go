@@ -17,33 +17,28 @@ import (
 // append-only.
 //
 // The maintainer holds no graph of its own. It pins the last snapshot it
-// applied, S(e-1), and folds each published batch in once, reading S(e-1)
-// and the batch's own snapshot S(e); both are immutable. A batch changes
-// a census in three ways, each handled separately:
+// applied, S(e-1), and folds each published batch in once on the batch's
+// own snapshot S(e); both are immutable. A batch is folded in as births,
+// deaths, then one recount of the changed region:
 //
 //  1. Births. Every new match maps some positive pattern edge onto a new
 //     edge (u, v), and the pattern's positive-edge graph is connected, so
 //     the whole match lies in N_r(u) ∩ N_r(v) on S(e), r being that
 //     graph's diameter. One masked CN run per new edge over that region
-//     finds it; a match whose canonical key is new is registered and
-//     N_{S(e)}[M] credited. A match born and killed within one batch is
-//     never found.
+//     finds it; a match whose canonical key is new is registered. A match
+//     born and killed within one batch is never found.
 //  2. Deaths. Matches die only through negated edges (or predicates) the
 //     batch completes: a live match containing both endpoints of a new
-//     edge that fails EvalAll on S(e) dies, and N_{S(e-1)}[M] is
-//     subtracted.
-//  3. Growth. Shortest distances only shrink, so a surviving match can
-//     only gain containing nodes, and only if an anchor image lies within
-//     k-1 hops of a batch endpoint on S(e-1) (the shortest new path
-//     reaches its first new edge over old edges). One multi-source BFS
-//     finds those matches; each is credited N_{S(e)}[M] \ N_{S(e-1)}[M].
+//     edge that fails EvalAll on S(e) dies.
+//  3. Recount. Births and deaths patch one pivot index kept across
+//     batches (ND-PVOT's, Algorithm 2), and its counting pass recounts on
+//     S(e) only the nodes whose count can change: those containing a born
+//     or dead match, and those within k-1 hops of a batch endpoint, the
+//     only ones whose k-hop ball can grow (see apply).
 //
 // A label change on an existing node — or, for a pattern with
 // predicates, an attribute write on an existing node or edge — can create
-// and destroy matches anywhere, and rebuilds the query on S(e). A batch
-// whose growth and crediting work is priced above a recount still applies
-// births and deaths to the match set, then recounts on S(e) from the live
-// matches (see apply).
+// and destroy matches anywhere, and rebuilds the query on S(e).
 //
 // Attach subscribes a maintainer to a writer with an unbounded queue and
 // a worker goroutine, so publishes never wait on census maintenance;
@@ -150,7 +145,7 @@ func (mt *Maintainer) applyLocked(s *graph.Snapshot, d graph.Delta) error {
 		}
 	}
 	for _, q := range mt.queries {
-		q.apply(prev, cur, edges, relabeled || attrs && len(q.spec.Pattern.Predicates()) > 0)
+		q.apply(cur, edges, relabeled || attrs && len(q.spec.Pattern.Predicates()) > 0)
 	}
 	mt.snap = s
 	mt.applied.Broadcast()
@@ -264,17 +259,18 @@ func (mt *Maintainer) Queries() []string {
 	return names
 }
 
-// maintained is one registered query's state: every match found so far
-// (dead ones stay, flagged, so their keys keep deduplicating), an index
-// from graph node to the matches containing it, and the per-node counts.
+// maintained is one registered query's state: a pivot index holding
+// every match found so far (dead ones stay, flagged, so their keys keep
+// deduplicating; only live ones sit in its buckets), an index from graph
+// node to the matches containing it, and the per-node counts.
 type maintained struct {
 	spec Spec
 	opt  Options
 
 	counts    []int64
-	matches   []pattern.Match
+	ix        *pivotIndex
 	alive     []bool
-	keys      map[string]int // canonical binary match key -> index
+	keys      map[string]int // canonical binary match key -> index in ix.matches
 	byNode    map[graph.NodeID][]int
 	anchorIdx []int
 	subNodes  []int
@@ -283,10 +279,11 @@ type maintained struct {
 }
 
 // rebuild recomputes the query's state from scratch on g: the global
-// match set, then the counts.
+// match set and its pivot index, then every node's count.
 func (q *maintained) rebuild(g *graph.Graph) {
 	q.counts = make([]int64, g.NumNodes())
-	q.matches, q.alive = q.matches[:0], q.alive[:0]
+	q.ix = newPivotIndex(g.NumNodes(), q.spec, nil)
+	q.alive = q.alive[:0]
 	q.keys = map[string]int{}
 	q.byNode = map[graph.NodeID][]int{}
 	q.numAlive = 0
@@ -294,89 +291,42 @@ func (q *maintained) rebuild(g *graph.Graph) {
 	for _, m := range matches {
 		q.insert(m)
 	}
-	q.recount(g)
+	countPivots(g, focalUnits(g, q.spec), []*pivotIndex{q.ix}, [][]int64{q.counts}, q.opt, nil)
 }
 
-// recount recomputes the counts on g from the live matches with
-// ND-PVOT's counting phase: a pivot index over them and one k-hop BFS per
-// node.
-func (q *maintained) recount(g *graph.Graph) {
-	live := make([]pattern.Match, 0, q.numAlive)
-	for i, m := range q.matches {
-		if q.alive[i] {
-			live = append(live, m)
-		}
-	}
-	clear(q.counts)
-	if len(live) > 0 {
-		ix := newPivotIndex(g.NumNodes(), q.spec, live)
-		countPivots(g, focalUnits(g, q.spec), []*pivotIndex{ix}, [][]int64{q.counts}, q.opt, nil)
-	}
-}
-
-// apply folds one batch into the query: prev and cur are the graphs of
-// S(e-1) and S(e), edges the batch's new non-loop edges, and rebuild set
-// when the batch falls outside the incremental rules. The match set
-// always follows the rules (births and deaths). The counts follow them
-// too unless the affected work is priced above a recount, in units of
-// one containment set: the rules compute two per affected match (before
-// and after) and about one per new edge (its births), a recount about
-// one per live match. Above that price the counts are recounted on S(e)
-// from the live matches instead.
-func (q *maintained) apply(prev, cur *graph.Graph, edges [][2]graph.NodeID, rebuild bool) {
-	q.counts = append(q.counts, make([]int64, cur.NumNodes()-len(q.counts))...)
+// apply folds one batch into the query: cur is the graph of S(e), edges
+// the batch's new non-loop edges, and rebuild set when the batch falls
+// outside the incremental rules. Births and deaths update the match set
+// and the pivot index; then one countPivots pass on S(e) recounts the
+// region of nodes whose count can change, and nothing outside it:
+//
+//   - N_{S(e)}[M] of every match M born or killed by the batch. A dead
+//     match's N_{S(e-1)}[M] is a subset of it.
+//   - For k >= 1, the nodes within k-1 hops of a batch endpoint: only
+//     their balls can grow, since the shortest new path from a node
+//     reaches its first new edge over old edges. At k = 0 no ball grows.
+func (q *maintained) apply(cur *graph.Graph, edges [][2]graph.NodeID, rebuild bool) {
 	if rebuild {
 		q.rebuild(cur)
 		return
 	}
-	var dying, affected []int
+	q.counts = append(q.counts, make([]int64, cur.NumNodes()-len(q.counts))...)
+	q.ix.pmi = append(q.ix.pmi, make([][]int32, cur.NumNodes()-len(q.ix.pmi))...)
+	var dying []int
 	for _, e := range edges {
 		for _, mi := range q.byNode[e[0]] {
-			if q.alive[mi] && slices.Contains(q.matches[mi], e[1]) {
+			if q.alive[mi] && slices.Contains(q.ix.matches[mi], e[1]) {
 				dying = append(dying, mi)
 			}
 		}
 	}
-	if k := q.spec.K; k >= 1 {
-		var ends []graph.NodeID
-		for _, e := range edges {
-			for _, n := range e {
-				if int(n) < prev.NumNodes() {
-					ends = append(ends, n)
-				}
-			}
-		}
-		s := graph.AcquireScratch(prev.NumNodes())
-		for _, n := range prev.KHopFrom(ends, k-1, s).Nodes {
-			for _, mi := range q.byNode[n] {
-				if q.alive[mi] && q.isAnchorImage(mi, n) {
-					affected = append(affected, mi)
-				}
-			}
-		}
-		s.Release()
-	}
-	slices.Sort(affected)
-	affected = slices.Compact(affected)
-	recount := 2*len(affected)+len(edges) > q.numAlive
-
+	var changed []graph.NodeID
 	for _, mi := range dying {
-		if m := q.matches[mi]; q.alive[mi] && !q.spec.Pattern.EvalAll(cur, m) {
+		if m := q.ix.matches[mi]; q.alive[mi] && !q.spec.Pattern.EvalAll(cur, m) {
 			q.alive[mi] = false
 			q.numAlive--
-			if !recount {
-				q.credit(prev, m, -1)
-			}
-		}
-	}
-	if !recount {
-		// N_{S(e-1)}[M] ⊆ N_{S(e)}[M], so crediting the one and debiting
-		// the other credits exactly the difference.
-		for _, mi := range affected {
-			if m := q.matches[mi]; q.alive[mi] {
-				q.credit(cur, m, 1)
-				q.credit(prev, m, -1)
-			}
+			q.ix.remove(mi)
+			changed = q.appendContaining(changed, cur, m)
 		}
 	}
 
@@ -391,14 +341,21 @@ func (q *maintained) apply(prev, cur *graph.Graph, edges [][2]graph.NodeID, rebu
 	for _, e := range edges {
 		region = cur.KHop(e[0], r, s).Intersect(cur.KHop(e[1], r, t))
 		match.CN{}.EachWithin(cur, q.spec.Pattern, &region, q.subNodes, func(m pattern.Match) {
-			if m, born := q.insert(m); born && !recount {
-				q.credit(cur, m, 1)
+			if m, born := q.insert(m); born {
+				changed = q.appendContaining(changed, cur, m)
 			}
 		})
 	}
-	if recount {
-		q.recount(cur)
+	if k := q.spec.K; k >= 1 {
+		ends := make([]graph.NodeID, 0, 2*len(edges))
+		for _, e := range edges {
+			ends = append(ends, e[0], e[1])
+		}
+		changed = append(changed, cur.KHopFrom(ends, k-1, s).Nodes...)
 	}
+	slices.Sort(changed)
+	us := units{k: q.spec.K, nodes: slices.Compact(changed)}
+	countPivots(cur, us, []*pivotIndex{q.ix}, [][]int64{q.counts}, q.opt, nil)
 }
 
 // insert registers a copy of m, live, unless its canonical key (the
@@ -410,8 +367,7 @@ func (q *maintained) insert(m pattern.Match) (pattern.Match, bool) {
 		return nil, false
 	}
 	m = slices.Clone(m)
-	idx := len(q.matches)
-	q.matches = append(q.matches, m)
+	idx := q.ix.add(m)
 	q.alive = append(q.alive, true)
 	q.keys[string(q.keyBuf)] = idx
 	q.numAlive++
@@ -423,35 +379,17 @@ func (q *maintained) insert(m pattern.Match) (pattern.Match, bool) {
 	return m, true
 }
 
-// credit adds d to the count of every node in N_g[M]: the nodes whose
-// k-hop neighborhood on g contains every anchor image of m (per-anchor
-// BFS intersection, as in PT-BAS).
-func (q *maintained) credit(g *graph.Graph, m pattern.Match, d int64) {
+// appendContaining appends N_g[M] to dst: the nodes whose k-hop
+// neighborhood on g contains every anchor image of m (per-anchor BFS
+// intersection, as in PT-BAS).
+func (q *maintained) appendContaining(dst []graph.NodeID, g *graph.Graph, m pattern.Match) []graph.NodeID {
 	anchors := matchAnchors(q.spec, q.anchorIdx, m)
-	s := graph.AcquireScratch(g.NumNodes())
+	s, t := graph.AcquireScratch(g.NumNodes()), graph.AcquireScratch(g.NumNodes())
 	defer s.Release()
-	// The intersection filters the first reach's node list in place; the
-	// list belongs to s, which nothing else reads before it is released.
-	in := g.KHop(anchors[0], q.spec.K, s).Nodes
-	if len(anchors) > 1 {
-		t := graph.AcquireScratch(g.NumNodes())
-		for _, a := range anchors[1:] {
-			r := g.KHop(a, q.spec.K, t)
-			in = slices.DeleteFunc(in, func(n graph.NodeID) bool { return !r.Contains(n) })
-		}
-		t.Release()
+	defer t.Release()
+	in := g.KHop(anchors[0], q.spec.K, s)
+	for _, a := range anchors[1:] {
+		in = in.Intersect(g.KHop(a, q.spec.K, t))
 	}
-	for _, n := range in {
-		q.counts[n] += d
-	}
-}
-
-func (q *maintained) isAnchorImage(mi int, n graph.NodeID) bool {
-	m := q.matches[mi]
-	for _, idx := range q.anchorIdx {
-		if m[idx] == n {
-			return true
-		}
-	}
-	return false
+	return append(dst, in.Nodes...)
 }

@@ -180,6 +180,36 @@ func TestIncrementalAddNode(t *testing.T) {
 	checkMaintained(t, mt, want.Counts, want.NumMatches, "after wiring the new node")
 }
 
+// TestIncrementalGrowthRadius pins the growth part of the recount region
+// at k-1 hops from a batch endpoint. The edge 1-4 births no match (node 1
+// is labelled l2), but it brings the live match 2-4 within k = 2 of node
+// 0, one hop from endpoint 1: only growth explains node 0's new count.
+func TestIncrementalGrowthRadius(t *testing.T) {
+	p := pattern.New("l0l1")
+	p.MustAddEdge(p.MustAddNode("A", "l0"), p.MustAddNode("B", "l1"), false, false)
+	spec := Spec{Pattern: p, K: 2}
+	g := graph.New(false)
+	g.AddNodes(5)
+	for _, e := range [][2]graph.NodeID{{0, 1}, {0, 3}, {3, 2}, {2, 4}} {
+		g.AddEdge(e[0], e[1])
+	}
+	for n, l := range map[graph.NodeID]string{0: "l2", 1: "l2", 2: "l0", 3: "l2", 4: "l1"} {
+		g.SetLabel(n, l)
+	}
+	w := graph.NewShardedWriter(g, 1)
+	mt := follow(t, w, spec, Options{})
+	w.AddEdge(1, 4)
+	s, err := w.Publish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, matches := bruteCensus(s.Graph(), spec)
+	if want[0] != 1 {
+		t.Fatalf("oracle counts node 0 as %d, want 1", want[0])
+	}
+	checkMaintained(t, mt, want, matches, "after adding 1-4")
+}
+
 func TestIncrementalValidation(t *testing.T) {
 	mt := NewMaintainer(graph.Freeze(gen.ErdosRenyi(5, 8, 1)))
 	if err := mt.Register("n", Spec{Pattern: pattern.SingleNode("n", ""), K: 1}, Options{}); err == nil {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"egocensus/internal/graph"
 	"egocensus/internal/pattern"
 )
@@ -8,12 +10,17 @@ import (
 // pivotIndex is the pattern match index of ND-PVOT (Algorithm 2, Section
 // IV-A1): the global match set bucketed by the image of an
 // eccentricity-minimizing anchor pivot. countNDPvot (one or several specs
-// sharing one BFS per focal node, the latter for CountMany) and pairwise
-// ND-PVOT count through it, in countPivots.
+// sharing one BFS per focal node, the latter for CountMany), pairwise
+// ND-PVOT and the Maintainer count through it, in countPivots. The
+// Maintainer keeps one index across batches and patches it with add and
+// remove.
 type pivotIndex struct {
 	matches []pattern.Match
-	// pmi[n'] lists the indices of the matches mapping the pivot to n'.
+	// pmi[n'] lists the indices of the counted matches mapping the pivot
+	// to n'; a removed match stays in matches but leaves its bucket.
 	pmi [][]int32
+	// pivot is the pattern node whose image buckets the matches.
+	pivot int
 	// maxV is the pivot's eccentricity over the anchors.
 	maxV int
 	// distant[i] lists the anchors u with d(pivot, u) >= i: the ones that
@@ -21,15 +28,14 @@ type pivotIndex struct {
 	distant [][]int
 }
 
-// newPivotIndex indexes a non-empty match set of spec over a graph with
-// numNodes nodes. The pivot is chosen among the anchor (subpattern) nodes,
-// with eccentricity measured over the anchors: only their containment
-// matters.
+// newPivotIndex indexes a match set of spec over a graph with numNodes
+// nodes. The pivot is chosen among the anchor (subpattern) nodes, with
+// eccentricity measured over the anchors: only their containment matters.
 func newPivotIndex(numNodes int, spec Spec, matches []pattern.Match) *pivotIndex {
 	anchors := spec.anchorNodes()
 	pivot, maxV := spec.Pattern.Pivot(anchors)
 	dist := spec.Pattern.Distances()[pivot]
-	ix := &pivotIndex{matches: matches, pmi: make([][]int32, numNodes), maxV: maxV, distant: make([][]int, maxV+1)}
+	ix := &pivotIndex{matches: matches, pmi: make([][]int32, numNodes), pivot: pivot, maxV: maxV, distant: make([][]int, maxV+1)}
 	for _, u := range anchors {
 		for i := 1; i <= dist[u]; i++ {
 			ix.distant[i] = append(ix.distant[i], u)
@@ -39,6 +45,22 @@ func newPivotIndex(numNodes int, spec Spec, matches []pattern.Match) *pivotIndex
 		ix.pmi[m[pivot]] = append(ix.pmi[m[pivot]], int32(i))
 	}
 	return ix
+}
+
+// add appends m to the index, counted, and returns its position in
+// matches. pmi must cover m's pivot image.
+func (ix *pivotIndex) add(m pattern.Match) int {
+	mi := len(ix.matches)
+	ix.matches = append(ix.matches, m)
+	ix.pmi[m[ix.pivot]] = append(ix.pmi[m[ix.pivot]], int32(mi))
+	return mi
+}
+
+// remove stops counting match mi. It stays in matches, so every position
+// handed out by add stays valid.
+func (ix *pivotIndex) remove(mi int) {
+	n := ix.matches[mi][ix.pivot]
+	ix.pmi[n] = slices.DeleteFunc(ix.pmi[n], func(i int32) bool { return i == int32(mi) })
 }
 
 // check returns the anchors whose images must be containment-checked for

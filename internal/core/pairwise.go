@@ -256,17 +256,25 @@ func pairPTOpt(g *graph.Graph, spec PairSpec, opt Options, randomOrder bool, gd 
 // mask, and full-mask nodes also pair with every node that reaches no
 // anchor: the paper's 2-partition scheme, counted once per pair. The
 // O(pairs) loops poll the guard so a stop cuts them short within a row.
+// Under a guard, nodes and masks are emitted in sorted order, whatever
+// order masks yields them in, so a row limit stops at the same pairs on
+// every run; without one nothing stops the emission part-way, and the
+// counts do not depend on the order.
 func emitMatchPairs(g *graph.Graph, mode PairMode, numAnchors int, masks iter.Seq2[graph.NodeID, uint64], gd *guard, add func(a, b graph.NodeID, c int64)) error {
 	if numAnchors > 63 {
 		return fmt.Errorf("census: union/intersection supports at most 63 anchor nodes, got %d", numAnchors)
 	}
 	full := uint64(1)<<uint(numAnchors) - 1
+	sorted := gd != nil
 	if mode == Intersection {
 		var nm []graph.NodeID
 		for n, mask := range masks {
 			if mask == full {
 				nm = append(nm, n)
 			}
+		}
+		if sorted {
+			slices.Sort(nm)
 		}
 		for i := 0; i < len(nm) && !gd.stopped(); i++ {
 			for j := i + 1; j < len(nm); j++ {
@@ -279,6 +287,11 @@ func emitMatchPairs(g *graph.Graph, mode PairMode, numAnchors int, masks iter.Se
 	for n, mask := range masks {
 		if mask != 0 {
 			groups[mask] = append(groups[mask], n)
+		}
+	}
+	if sorted {
+		for _, ns := range groups {
+			slices.Sort(ns)
 		}
 	}
 	if gf := groups[full]; len(gf) > 0 {
@@ -299,7 +312,7 @@ func emitMatchPairs(g *graph.Graph, mode PairMode, numAnchors int, masks iter.Se
 			}
 		}
 	}
-	maskList := slices.Collect(maps.Keys(groups))
+	maskList := slices.Sorted(maps.Keys(groups))
 	for i := 0; i < len(maskList) && !gd.stopped(); i++ {
 		for j := i; j < len(maskList); j++ {
 			x, y := maskList[i], maskList[j]

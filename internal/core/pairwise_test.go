@@ -443,9 +443,11 @@ func TestPairDuplicateChargedOnce(t *testing.T) {
 	}
 }
 
-// TestPairwisePartialPairsDeterministic runs a row-limited node-driven
-// pair query repeatedly and at workers 1 and 4: the partial pairs are the
-// first non-zero pairs in (A, B) order every time, with their full counts.
+// TestPairwisePartialPairsDeterministic runs a row-limited pair query
+// repeatedly on every pair driver at workers 1 and 4: the partial pairs
+// are the same every time. For the node-driven drivers they are the first
+// non-zero pairs in (A, B) order, with their full counts; the
+// pattern-driven ones stop part-way through a match's pairs.
 func TestPairwisePartialPairsDeterministic(t *testing.T) {
 	g := gen.ErdosRenyi(60, 150, 53)
 	const q = `
@@ -466,22 +468,31 @@ FROM nodes AS n1, nodes AS n2 WHERE n1.ID < 30 AND n2.ID < 30`
 	order := slices.SortedFunc(maps.Keys(counts), func(x, y Pair) int {
 		return cmp.Or(cmp.Compare(x.A, y.A), cmp.Compare(x.B, y.B))
 	})
-	wantCounts := make(map[Pair]int64)
+	firstPairs := make(map[Pair]int64)
 	for _, pr := range order[:20] {
-		wantCounts[pr] = counts[pr]
+		firstPairs[pr] = counts[pr]
 	}
-	for _, workers := range []int{1, 4} {
-		for run := 0; run < 10; run++ {
-			e := NewEngine(g)
-			e.Alg = NDPvot
-			e.Opt = Options{Workers: workers, Limits: Limits{MaxResultRows: 20}}
-			_, err := e.Execute(q)
-			var le *LimitError
-			if !errors.As(err, &le) || le.PartialPairs == nil {
-				t.Fatalf("workers=%d run %d: err = %v, want a *LimitError with partial pairs", workers, run, err)
-			}
-			if !maps.Equal(le.PartialPairs.Counts, wantCounts) {
-				t.Fatalf("workers=%d run %d: partial pairs %v, want %v", workers, run, le.PartialPairs.Counts, wantCounts)
+	for _, alg := range []Algorithm{NDBas, NDPvot, PTBas, PTOpt, PTRnd} {
+		var want map[Pair]int64
+		if alg == NDBas || alg == NDPvot {
+			want = firstPairs
+		}
+		for _, workers := range []int{1, 4} {
+			for run := 0; run < 10; run++ {
+				e := NewEngine(g)
+				e.Alg = alg
+				e.Opt = Options{Workers: workers, Limits: Limits{MaxResultRows: 20}}
+				_, err := e.Execute(q)
+				var le *LimitError
+				if !errors.As(err, &le) || le.PartialPairs == nil {
+					t.Fatalf("%v workers=%d run %d: err = %v, want a *LimitError with partial pairs", alg, workers, run, err)
+				}
+				if want == nil {
+					want = le.PartialPairs.Counts
+				}
+				if !maps.Equal(le.PartialPairs.Counts, want) {
+					t.Fatalf("%v workers=%d run %d: partial pairs %v, want %v", alg, workers, run, le.PartialPairs.Counts, want)
+				}
 			}
 		}
 	}

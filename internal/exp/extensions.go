@@ -82,11 +82,10 @@ func FigExt(cfg Config, progress io.Writer) ([]Measurement, error) {
 	}
 	add(Measurement{Seconds: secs}, "count-many", "separate")
 
-	// Incremental maintenance vs recomputation (k=1; see DESIGN.md for the
-	// k>=2 caveat): a writer publishes random edges in batches of 1, 16
-	// and 256 and a Maintainer follows the published snapshots; each batch
-	// row is the cost of one publish, maintenance included, comparable
-	// with the one recompute row.
+	// Incremental maintenance vs recomputation (k=1): a writer publishes
+	// random edges in batches of 1, 16 and 256 and a Maintainer follows
+	// the published snapshots; each batch row is the cost of one publish,
+	// maintenance included, comparable with the one recompute row.
 	incSpec := core.Spec{Pattern: clq3Unlb(), K: 1}
 	w := graph.NewShardedWriter(gen.PreferentialAttachment(n, edgeFactor, cfg.Seed+7), 1)
 	mt := core.NewMaintainer(w.Snapshot())
