@@ -366,6 +366,15 @@ func (g *Graph) NodeAttrs(n NodeID) map[string]string {
 	return m
 }
 
+// NodeAttrMap returns the attributes of node n, without the label:
+// SetNodeAttr routes LabelAttr to SetLabel, so the map never holds it. The
+// map is owned by the graph and must not be modified; it is nil when n has
+// no attributes.
+func (g *Graph) NodeAttrMap(n NodeID) map[string]string {
+	g.mustNode(n)
+	return g.nodeAttrs[n]
+}
+
 // SetEdgeAttr sets an attribute on edge e.
 func (g *Graph) SetEdgeAttr(e EdgeID, key, value string) {
 	g.mustMutable()
@@ -390,16 +399,13 @@ func (g *Graph) EdgeAttr(e EdgeID, key string) (value string, ok bool) {
 	return v, ok
 }
 
-// EdgeAttrs returns a copy of all attributes of edge e.
-func (g *Graph) EdgeAttrs(e EdgeID) map[string]string {
+// EdgeAttrMap returns the attributes of edge e. The map is owned by the
+// graph and must not be modified; it is nil when e has no attributes.
+func (g *Graph) EdgeAttrMap(e EdgeID) map[string]string {
 	if e < 0 || int(e) >= len(g.edgs) {
 		panic(fmt.Sprintf("graph: edge %d out of range [0,%d)", e, len(g.edgs)))
 	}
-	m := make(map[string]string, len(g.edgeAttrs[e]))
-	for k, v := range g.edgeAttrs[e] {
-		m[k] = v
-	}
-	return m
+	return g.edgeAttrs[e]
 }
 
 // Neighbors returns the sorted distinct neighbor IDs of n (union of in and

@@ -103,6 +103,13 @@ func TestNodeAttrs(t *testing.T) {
 	if v, ok := g.NodeAttr(n, LabelAttr); !ok || v != "L" {
 		t.Fatalf("label via NodeAttr = %q,%v", v, ok)
 	}
+	g.SetNodeAttr(n, LabelAttr, "M")
+	if m := g.NodeAttrMap(n); len(m) != 1 || m["x"] != "1" {
+		t.Fatalf("NodeAttrMap = %v, want only x=1 (the label lives in the label column)", m)
+	}
+	if m := g.NodeAttrMap(g.AddNode()); m != nil {
+		t.Fatalf("NodeAttrMap of a bare node = %v, want nil", m)
+	}
 }
 
 func TestEdgeAttrs(t *testing.T) {
@@ -111,12 +118,15 @@ func TestEdgeAttrs(t *testing.T) {
 	if _, ok := g.EdgeAttr(e, "sign"); ok {
 		t.Fatal("unset edge attr should report ok=false")
 	}
+	if m := g.EdgeAttrMap(e); m != nil {
+		t.Fatalf("EdgeAttrMap of a bare edge = %v, want nil", m)
+	}
 	g.SetEdgeAttr(e, "sign", "-")
 	if v, ok := g.EdgeAttr(e, "sign"); !ok || v != "-" {
 		t.Fatalf("edge attr = %q,%v", v, ok)
 	}
-	if got := g.EdgeAttrs(e); got["sign"] != "-" {
-		t.Fatalf("EdgeAttrs = %v", got)
+	if got := g.EdgeAttrMap(e); len(got) != 1 || got["sign"] != "-" {
+		t.Fatalf("EdgeAttrMap = %v", got)
 	}
 }
 

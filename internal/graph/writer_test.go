@@ -26,7 +26,7 @@ func graphFingerprint(g *Graph) string {
 	for e := 0; e < g.NumEdges(); e++ {
 		id := EdgeID(e)
 		ed := g.Edge(id)
-		b = append(b, fmt.Sprintf("edge %d %d->%d attrs=%v\n", e, ed.From, ed.To, sortedAttrs(g.EdgeAttrs(id)))...)
+		b = append(b, fmt.Sprintf("edge %d %d->%d attrs=%v\n", e, ed.From, ed.To, sortedAttrs(g.EdgeAttrMap(id)))...)
 	}
 	return string(b)
 }

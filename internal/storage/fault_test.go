@@ -1,8 +1,10 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"syscall"
 	"testing"
@@ -353,6 +355,98 @@ func TestSaveToleratesDirectorySyncFailure(t *testing.T) {
 	if g2.NumNodes() != 3 || g2.NumEdges() != 1 {
 		t.Fatalf("roundtrip got %d nodes / %d edges", g2.NumNodes(), g2.NumEdges())
 	}
+}
+
+// countSaveWrites returns how many writes a clean save of g issues.
+func countSaveWrites(t *testing.T, g *graph.Graph) int {
+	t.Helper()
+	inj := fault.NewInjector(fault.OS{}, 1)
+	if err := SaveFS(inj, filepath.Join(t.TempDir(), "count.egoc"), g); err != nil {
+		t.Fatal(err)
+	}
+	return int(inj.OpCount(fault.OpWrite))
+}
+
+// TestSaveFailedWriteEveryBlock fails each write of an image save in
+// turn, cleanly and torn, and then its fsync. Every failure must fail the
+// save with the injected error, keep the previous image byte for byte and
+// leave no temporary file behind.
+func TestSaveFailedWriteEveryBlock(t *testing.T) {
+	dir := t.TempDir()
+	p := filepath.Join(dir, "g.egoc")
+	if err := Save(p, goldenDirected()); err != nil {
+		t.Fatal(err)
+	}
+	prev, err := os.ReadFile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := goldenER()
+	writes := countSaveWrites(t, g)
+	if writes < 3 {
+		t.Fatalf("the image took %d writes; the test needs several blocks", writes)
+	}
+	var rules []fault.Rule
+	for k := 1; k <= writes; k++ {
+		for _, keep := range []int{0, 3} {
+			rules = append(rules, fault.Rule{Op: fault.OpWrite, Path: ".egoc-save-", From: k, Count: 1, Err: syscall.ENOSPC, KeepBytes: keep})
+		}
+	}
+	rules = append(rules, fault.Rule{Op: fault.OpSync, Path: ".egoc-save-", Count: 1, Err: syscall.EIO})
+	for _, r := range rules {
+		inj := fault.NewInjector(fault.OS{}, 1, r)
+		err := SaveFS(inj, p, g)
+		var ie *fault.InjectedError
+		if !errors.As(err, &ie) || !errors.Is(err, r.Err) || inj.RuleFired(0) != 1 {
+			t.Fatalf("%s #%d (keep %d): save returned %v, want the injected %v", r.Op, r.From, r.KeepBytes, err, r.Err)
+		}
+		if got, err := os.ReadFile(p); err != nil || !bytes.Equal(got, prev) {
+			t.Fatalf("%s #%d (keep %d): previous image changed (err %v)", r.Op, r.From, r.KeepBytes, err)
+		}
+		if left, _ := filepath.Glob(filepath.Join(dir, ".egoc-save-*")); len(left) != 0 {
+			t.Fatalf("%s #%d (keep %d): temporary files left: %v", r.Op, r.From, r.KeepBytes, left)
+		}
+	}
+}
+
+// TestDynamicCompactFailsInMiddleBlock fails a compaction's image save in
+// its middle block: the compaction fails, every acknowledged epoch
+// survives a reopen, publishes go on, and a later compaction succeeds.
+func TestDynamicCompactFailsInMiddleBlock(t *testing.T) {
+	eachShardCount(t, func(t *testing.T, shards int) {
+		inj := fault.NewInjector(fault.OS{}, 1)
+		base := filepath.Join(t.TempDir(), "g.egoc")
+		ds, err := CreateDynamicShardedFS(inj, base, goldenER(), shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ds.Close()
+		ds.SetCompactAtBytes(0)
+		ackEpoch := publishShardBatches(t, ds, 5, 3)
+		checkReopen := func(stage string) {
+			t.Helper()
+			want := fingerprintDyn(ds.Snapshot().Graph())
+			if epoch, fp := reopenCopy(t, base); epoch != ackEpoch || fp != want {
+				t.Fatalf("%s: reopened at epoch %d (same state: %v), last acknowledged epoch %d", stage, epoch, fp == want, ackEpoch)
+			}
+		}
+
+		mid := (countSaveWrites(t, ds.Snapshot().Graph()) + 1) / 2
+		inj.SetRules(fault.Rule{Op: fault.OpWrite, Path: ".egoc-save-", From: mid, Count: 1, Err: syscall.EIO, KeepBytes: 100})
+		if err := ds.Compact(); !errors.Is(err, syscall.EIO) || inj.RuleFired(0) != 1 {
+			t.Fatalf("compaction failing at write %d returned %v", mid, err)
+		}
+		checkReopen("after the failed compaction")
+		ackEpoch = publishShardBatches(t, ds, 6, 2)
+		checkReopen("after publishing on")
+
+		inj.ClearRules()
+		if err := ds.Compact(); err != nil {
+			t.Fatalf("compaction on a healthy disk: %v", err)
+		}
+		ackEpoch = publishShardBatches(t, ds, 7, 1)
+		checkReopen("after compacting")
+	})
 }
 
 // FuzzMutlogFaultRecovery crashes the filesystem at a fuzzed point while

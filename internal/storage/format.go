@@ -9,13 +9,13 @@
 package storage
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"log"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"egocensus/internal/fault"
@@ -62,50 +62,70 @@ func (h *header) shardCount() int {
 	return 1
 }
 
-// countingWriter tracks the number of bytes written and feeds the CRC.
+// blockSize is the encoder's block: the image reaches the file, and the
+// CRC, one full block at a time.
+const blockSize = 64 << 10
+
+// countingWriter encodes into one block buffer. flush hands a block to the
+// file in one Write and to the CRC in one update, and counts its bytes.
+// The first error sticks: later calls do nothing, and flush returns it.
 type countingWriter struct {
-	w   *bufio.Writer
+	w   io.Writer
+	buf []byte
 	n   uint64
 	crc uint32
+	err error
 }
 
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += uint64(n)
-	cw.crc = crc32.Update(cw.crc, crc32.IEEETable, p[:n])
-	return n, err
+func (cw *countingWriter) flush() error {
+	if cw.err == nil && len(cw.buf) > 0 {
+		cw.n += uint64(len(cw.buf))
+		cw.crc = crc32.Update(cw.crc, crc32.IEEETable, cw.buf)
+		_, cw.err = cw.w.Write(cw.buf)
+	}
+	cw.buf = cw.buf[:0]
+	return cw.err
 }
 
-func (cw *countingWriter) u16(v uint16) error {
-	var b [2]byte
-	binary.LittleEndian.PutUint16(b[:], v)
-	_, err := cw.Write(b[:])
-	return err
+// room flushes the block unless k more bytes fit in it.
+func (cw *countingWriter) room(k int) {
+	if len(cw.buf)+k > blockSize {
+		cw.flush()
+	}
 }
 
-func (cw *countingWriter) u32(v uint32) error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	_, err := cw.Write(b[:])
-	return err
+func (cw *countingWriter) u16(v uint16) {
+	cw.room(2)
+	cw.buf = binary.LittleEndian.AppendUint16(cw.buf, v)
 }
 
-func (cw *countingWriter) u64(v uint64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	_, err := cw.Write(b[:])
-	return err
+func (cw *countingWriter) u32(v uint32) {
+	cw.room(4)
+	cw.buf = binary.LittleEndian.AppendUint32(cw.buf, v)
 }
 
-func (cw *countingWriter) str16(s string) error {
+func (cw *countingWriter) u64(v uint64) {
+	cw.room(8)
+	cw.buf = binary.LittleEndian.AppendUint64(cw.buf, v)
+}
+
+// str16 writes s behind its uint16 length, in as many blocks as it spans.
+func (cw *countingWriter) str16(s string) {
 	if len(s) > 0xFFFF {
-		return fmt.Errorf("storage: string too long (%d bytes)", len(s))
+		if cw.err == nil {
+			cw.err = fmt.Errorf("storage: string too long (%d bytes)", len(s))
+		}
+		return
 	}
-	if err := cw.u16(uint16(len(s))); err != nil {
-		return err
+	cw.u16(uint16(len(s)))
+	for {
+		k := copy(cw.buf[len(cw.buf):blockSize], s)
+		cw.buf = cw.buf[:len(cw.buf)+k]
+		if s = s[k:]; s == "" {
+			return
+		}
+		cw.flush()
 	}
-	_, err := cw.Write([]byte(s))
-	return err
 }
 
 // Save writes g to path in the binary format. The write is atomic: the
@@ -188,18 +208,12 @@ func syncDir(fsys fault.FS, dir string) {
 	}
 }
 
-// Write encodes g to w. w must also be an io.Seeker if the caller wants a
-// valid header; Write buffers sections in memory offsets and writes
-// front-to-back, so any Writer works.
-func Write(w io.Writer, g *graph.Graph) error {
-	return writeSharded(w, g, 1)
-}
-
-// writeSharded is Write with the shard count encoded in the header flags
-// (counts <= 1 write the historical zero bits).
+// writeSharded encodes g to w with the shard count encoded in the header
+// flags (counts <= 1 write the historical zero bits). Sections are sized
+// first, so the header is written once with final offsets and any Writer
+// works.
 func writeSharded(w io.Writer, g *graph.Graph, shards int) error {
-	bw := bufio.NewWriter(w)
-	cw := &countingWriter{w: bw}
+	cw := &countingWriter{w: w, buf: make([]byte, 0, blockSize)}
 
 	var h header
 	if g.Directed() {
@@ -230,14 +244,11 @@ func writeSharded(w io.Writer, g *graph.Graph, shards int) error {
 	}
 	edgeTableSize := 8 * h.NumEdges
 
-	nodeAttrSize, nodeAttrEntries := attrSectionSize(g.NumNodes(), func(i int) map[string]string {
-		m := g.NodeAttrs(graph.NodeID(i))
-		delete(m, graph.LabelAttr) // labels live in the label sections
-		return m
-	})
-	edgeAttrSize, edgeAttrEntries := attrSectionSize(g.NumEdges(), func(i int) map[string]string {
-		return g.EdgeAttrs(graph.EdgeID(i))
-	})
+	// Labels live in the label sections, never in the node attribute maps.
+	nodeAttrs := func(i int) map[string]string { return g.NodeAttrMap(graph.NodeID(i)) }
+	edgeAttrs := func(i int) map[string]string { return g.EdgeAttrMap(graph.EdgeID(i)) }
+	nodeAttrSize, nodeAttrEntries := attrSectionSize(g.NumNodes(), nodeAttrs)
+	edgeAttrSize, edgeAttrEntries := attrSectionSize(g.NumEdges(), edgeAttrs)
 
 	h.LabelTableOff = headerSize
 	h.NodeLabelOff = h.LabelTableOff + labelTableSize
@@ -249,56 +260,34 @@ func writeSharded(w io.Writer, g *graph.Graph, shards int) error {
 	h.CRCOff = h.EdgeAttrOff + edgeAttrSize
 
 	// Header.
-	if _, err := cw.Write(Magic[:]); err != nil {
-		return err
-	}
-	for _, v32 := range []uint32{h.Flags} {
-		if err := cw.u32(v32); err != nil {
-			return err
-		}
-	}
-	if err := cw.u64(h.NumNodes); err != nil {
-		return err
-	}
-	if err := cw.u64(h.NumEdges); err != nil {
-		return err
-	}
-	if err := cw.u32(h.NumLabels); err != nil {
-		return err
-	}
+	cw.buf = append(cw.buf, Magic[:]...)
+	cw.u32(h.Flags)
+	cw.u64(h.NumNodes)
+	cw.u64(h.NumEdges)
+	cw.u32(h.NumLabels)
 	for _, off := range []uint64{h.LabelTableOff, h.NodeLabelOff, h.AdjIndexOff, h.AdjDataOff, h.EdgeTableOff, h.NodeAttrOff, h.EdgeAttrOff, h.CRCOff} {
-		if err := cw.u64(off); err != nil {
-			return err
-		}
+		cw.u64(off)
 	}
 
 	// Label table.
 	for i := 0; i < g.Labels().Size(); i++ {
-		if err := cw.str16(g.Labels().Name(graph.LabelID(i))); err != nil {
-			return err
-		}
+		cw.str16(g.Labels().Name(graph.LabelID(i)))
 	}
 	// Node labels.
 	for n := 0; n < g.NumNodes(); n++ {
-		if err := cw.u32(uint32(g.Label(graph.NodeID(n)))); err != nil {
-			return err
-		}
+		cw.u32(uint32(g.Label(graph.NodeID(n))))
 	}
 	// Adjacency index: per-node offsets into the adjacency data section,
 	// plus a final sentinel.
 	off := uint64(0)
 	for n := 0; n < g.NumNodes(); n++ {
-		if err := cw.u64(off); err != nil {
-			return err
-		}
+		cw.u64(off)
 		off += 8 + 8*uint64(len(g.Out(graph.NodeID(n))))
 		if g.Directed() {
 			off += 8 * uint64(len(g.In(graph.NodeID(n))))
 		}
 	}
-	if err := cw.u64(off); err != nil {
-		return err
-	}
+	cw.u64(off)
 	// Adjacency data.
 	for n := 0; n < g.NumNodes(); n++ {
 		id := graph.NodeID(n)
@@ -307,120 +296,75 @@ func writeSharded(w io.Writer, g *graph.Graph, shards int) error {
 		if g.Directed() {
 			in = g.In(id)
 		}
-		if err := cw.u32(uint32(len(out))); err != nil {
-			return err
-		}
-		if err := cw.u32(uint32(len(in))); err != nil {
-			return err
-		}
-		for _, half := range out {
-			if err := cw.u32(uint32(half.To)); err != nil {
-				return err
-			}
-			if err := cw.u32(uint32(half.Edge)); err != nil {
-				return err
-			}
-		}
-		for _, half := range in {
-			if err := cw.u32(uint32(half.To)); err != nil {
-				return err
-			}
-			if err := cw.u32(uint32(half.Edge)); err != nil {
-				return err
+		cw.u32(uint32(len(out)))
+		cw.u32(uint32(len(in)))
+		for _, row := range [][]graph.Half{out, in} {
+			for _, half := range row {
+				cw.u32(uint32(half.To))
+				cw.u32(uint32(half.Edge))
 			}
 		}
 	}
 	// Edge table.
 	for e := 0; e < g.NumEdges(); e++ {
 		ed := g.Edge(graph.EdgeID(e))
-		if err := cw.u32(uint32(ed.From)); err != nil {
-			return err
-		}
-		if err := cw.u32(uint32(ed.To)); err != nil {
-			return err
-		}
+		cw.u32(uint32(ed.From))
+		cw.u32(uint32(ed.To))
 	}
 	// Attribute sections.
-	if err := writeAttrSection(cw, nodeAttrEntries); err != nil {
-		return err
-	}
-	if err := writeAttrSection(cw, edgeAttrEntries); err != nil {
+	cw.attrSection(g.NumNodes(), nodeAttrEntries, nodeAttrs)
+	cw.attrSection(g.NumEdges(), edgeAttrEntries, edgeAttrs)
+	if err := cw.flush(); err != nil {
 		return err
 	}
 	if cw.n != h.CRCOff {
 		return fmt.Errorf("storage: section size accounting error: wrote %d, expected %d", cw.n, h.CRCOff)
 	}
 	// Trailing CRC over everything written so far.
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], cw.crc)
-	if _, err := bw.Write(b[:]); err != nil {
-		return err
-	}
-	return bw.Flush()
+	_, err := w.Write(binary.LittleEndian.AppendUint32(cw.buf, cw.crc))
+	return err
 }
 
-// attrEntry is one object's attribute map, in file order.
-type attrEntry struct {
-	id    uint32
-	pairs [][2]string
-}
-
-func attrSectionSize(n int, get func(i int) map[string]string) (uint64, []attrEntry) {
-	size := uint64(4) // entry count
-	var entries []attrEntry
+// attrSectionSize returns the byte size of an attribute section over n
+// objects and its entry count: one entry per object with attributes.
+func attrSectionSize(n int, attrs func(i int) map[string]string) (size uint64, entries uint32) {
+	size = 4 // entry count
 	for i := 0; i < n; i++ {
-		m := get(i)
+		m := attrs(i)
 		if len(m) == 0 {
 			continue
 		}
-		e := attrEntry{id: uint32(i)}
-		// Deterministic order.
-		keys := make([]string, 0, len(m))
-		for k := range m {
-			keys = append(keys, k)
-		}
-		sortStrings(keys)
-		for _, k := range keys {
-			e.pairs = append(e.pairs, [2]string{k, m[k]})
-		}
-		entries = append(entries, e)
+		entries++
 		size += 4 + 2 // id + pair count
-		for _, p := range e.pairs {
-			size += 2 + uint64(len(p[0])) + 2 + uint64(len(p[1]))
+		for k, v := range m {
+			size += 2 + uint64(len(k)) + 2 + uint64(len(v))
 		}
 	}
 	return size, entries
 }
 
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
+// attrSection writes an attribute section: the entry count, then each
+// object with attributes in id order, its pairs in key order.
+func (cw *countingWriter) attrSection(n int, entries uint32, attrs func(i int) map[string]string) {
+	cw.u32(entries)
+	var keys []string
+	for i := 0; i < n; i++ {
+		m := attrs(i)
+		if len(m) == 0 {
+			continue
+		}
+		keys = keys[:0]
+		for k := range m {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		cw.u32(uint32(i))
+		cw.u16(uint16(len(keys)))
+		for _, k := range keys {
+			cw.str16(k)
+			cw.str16(m[k])
 		}
 	}
-}
-
-func writeAttrSection(cw *countingWriter, entries []attrEntry) error {
-	if err := cw.u32(uint32(len(entries))); err != nil {
-		return err
-	}
-	for _, e := range entries {
-		if err := cw.u32(e.id); err != nil {
-			return err
-		}
-		if err := cw.u16(uint16(len(e.pairs))); err != nil {
-			return err
-		}
-		for _, p := range e.pairs {
-			if err := cw.str16(p[0]); err != nil {
-				return err
-			}
-			if err := cw.str16(p[1]); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // Load reads a graph file fully into memory.

@@ -24,7 +24,7 @@ func validStoreBytes(tb testing.TB) []byte {
 		g.SetEdgeAttr(0, "w", "3")
 	}
 	var buf bytes.Buffer
-	if err := Write(&buf, g); err != nil {
+	if err := writeSharded(&buf, g, 1); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()

@@ -93,7 +93,7 @@ func referenceAttrs(st *Store, off uint64) (map[uint32]map[string]string, error)
 func writeImage(t testing.TB, g *graph.Graph) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := Write(&buf, g); err != nil {
+	if err := writeSharded(&buf, g, 1); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -113,7 +113,7 @@ func loadImage(t testing.TB, img []byte) *graph.Graph {
 	return g
 }
 
-// TestWriteLoadByteIdentity checks that hydration keeps everything Write
+// TestWriteLoadByteIdentity checks that hydration keeps everything the image
 // encodes, down to label IDs: re-encoding a loaded image reproduces it
 // byte for byte.
 func TestWriteLoadByteIdentity(t *testing.T) {
@@ -140,7 +140,7 @@ func TestWriteLoadByteIdentity(t *testing.T) {
 		"edge-attrs":      writeImage(t, attrs),
 	} {
 		if again := writeImage(t, loadImage(t, img)); !bytes.Equal(again, img) {
-			t.Errorf("%s: Write(Load(img)) differs from img (%d vs %d bytes)", name, len(again), len(img))
+			t.Errorf("%s: writeSharded(Load(img)) differs from img (%d vs %d bytes)", name, len(again), len(img))
 		}
 	}
 }

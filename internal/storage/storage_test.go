@@ -69,7 +69,7 @@ func assertGraphsEqual(t *testing.T, a, b *graph.Graph) {
 		if a.Edge(id) != b.Edge(id) {
 			t.Fatalf("edge %d endpoints differ", e)
 		}
-		aa, ba := a.EdgeAttrs(id), b.EdgeAttrs(id)
+		aa, ba := a.EdgeAttrMap(id), b.EdgeAttrMap(id)
 		for k, v := range aa {
 			if ba[k] != v {
 				t.Fatalf("edge %d attr %s: %q vs %q", e, k, v, ba[k])
@@ -182,7 +182,7 @@ func TestStoreOnDemandAccess(t *testing.T) {
 		t.Fatalf("empty node attrs via store: %v", attrs)
 	}
 	if v, _ := mg.EdgeAttr(0, "sign"); v != "+" && v != "-" {
-		t.Fatalf("edge attrs via store: %v", mg.EdgeAttrs(0))
+		t.Fatalf("edge attrs via store: %v", mg.EdgeAttrMap(0))
 	}
 }
 

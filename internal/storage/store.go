@@ -329,7 +329,7 @@ func (st *Store) readAttrSection(off, end, maxID uint64) (*attrSection, error) {
 // walk decodes the section in memory, calling pair (if non-nil) with
 // each key/value pair of each entry. The slices pair receives alias the
 // section buffer. A length that runs past the section end, an id outside
-// maxID or not above the previous entry's (Write emits strictly
+// maxID or not above the previous entry's (the encoder emits strictly
 // ascending ids, so a repeat is a duplicate entry), or bytes left after
 // the last entry yield a *CorruptFileError.
 func (s *attrSection) walk(pair func(id uint32, k, v []byte)) error {

@@ -38,32 +38,39 @@ func WriteText(w io.Writer, g *graph.Graph) error {
 	fmt.Fprintf(bw, "# egocensus text graph\ngraph %s\n", dir)
 	for n := 0; n < g.NumNodes(); n++ {
 		id := graph.NodeID(n)
-		attrs := g.NodeAttrs(id)
-		fmt.Fprintf(bw, "node %d%s\n", n, renderAttrs(attrs))
+		fmt.Fprintf(bw, "node %d%s\n", n, renderAttrs(g.NodeAttrMap(id), g.LabelString(id)))
 	}
 	for e := 0; e < g.NumEdges(); e++ {
 		ed := g.Edge(graph.EdgeID(e))
-		attrs := g.EdgeAttrs(graph.EdgeID(e))
-		fmt.Fprintf(bw, "edge %d %d%s\n", ed.From, ed.To, renderAttrs(attrs))
+		fmt.Fprintf(bw, "edge %d %d%s\n", ed.From, ed.To, renderAttrs(g.EdgeAttrMap(graph.EdgeID(e)), ""))
 	}
 	return bw.Flush()
 }
 
-func renderAttrs(attrs map[string]string) string {
-	if len(attrs) == 0 {
+// renderAttrs renders attrs, plus label under LabelAttr when it is not
+// empty, as tab-separated key=value pairs in key order.
+func renderAttrs(attrs map[string]string, label string) string {
+	if len(attrs) == 0 && label == "" {
 		return ""
 	}
-	keys := make([]string, 0, len(attrs))
+	keys := make([]string, 0, len(attrs)+1)
 	for k := range attrs {
 		keys = append(keys, k)
+	}
+	if label != "" {
+		keys = append(keys, graph.LabelAttr)
 	}
 	sort.Strings(keys)
 	var b strings.Builder
 	for _, k := range keys {
+		v, ok := attrs[k]
+		if !ok {
+			v = label
+		}
 		b.WriteByte('\t')
 		b.WriteString(k)
 		b.WriteByte('=')
-		b.WriteString(attrs[k])
+		b.WriteString(v)
 	}
 	return b.String()
 }
